@@ -158,6 +158,7 @@ struct BatchReport {
   std::string mode;   // "knn" | "range"
   double param = 0.0; // k or delta
   size_t clients = 1; // concurrent client threads driving the run
+  size_t cores = 0;   // hardware threads of the measuring host (0 = unset)
   BatchLatency latency;
   uint64_t hits_total = 0;
   uint64_t errors = 0;  // failed round trips (loadgen only)
@@ -189,6 +190,9 @@ inline std::string BatchReportJson(const BatchReport& report) {
   out << "    \"mode\": " << str(report.mode) << ",\n";
   out << "    \"param\": " << f(report.param) << ",\n";
   out << "    \"clients\": " << report.clients << ",\n";
+  if (report.cores != 0) {
+    out << "    \"cores\": " << report.cores << ",\n";
+  }
   out << "    \"queries\": " << report.latency.queries << ",\n";
   out << "    \"wall_s\": " << f(report.latency.wall_s) << ",\n";
   out << "    \"qps\": " << f(report.latency.qps) << ",\n";

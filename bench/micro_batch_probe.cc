@@ -2,8 +2,8 @@
 // "Batched probes").
 //
 // On the KOSARAK analog, the same query workload is answered two ways:
-// one Knn/Range call per query (the baseline the solo path has always
-// taken) and KnnBatch/RangeBatch over groups of 1 / 8 / 64 / 256
+// one Knn/Range call per query (`seq`; each call is a batch of one inside
+// the engine) and KnnBatch/RangeBatch over groups of 1 / 8 / 64 / 256
 // queries, on two engine configurations:
 //
 //   les3     a single index (990 groups, bench cascade): isolates the
@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine_builder.h"
@@ -155,6 +156,7 @@ bench::BatchReport MakeReport(const std::string& label, bool knn,
   report.mode = knn ? "knn" : "range";
   report.param = knn ? static_cast<double>(kKnnK) : kRangeDelta;
   report.clients = 1;
+  report.cores = std::thread::hardware_concurrency();
   report.latency = bench::SummarizeLatencies(run.ms, run.wall_s);
   report.hits_total = run.hits;
   report.have_engine_stats = true;

@@ -112,10 +112,11 @@ void BM_RoaringAccumulateInto(benchmark::State& state) {
   Roaring r;
   AccumulateSetup(state, &r);
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(static_cast<uint32_t>(state.range(0)), &counts);
+  BatchGroupCountAccumulator acc;
+  const QueryWeight sub{0, 2};
   for (auto _ : state) {
-    acc.Reset(static_cast<uint32_t>(state.range(0)), &counts);
-    r.AccumulateInto(acc, 2);
+    acc.Reset(1, static_cast<uint32_t>(state.range(0)), &counts);
+    r.AccumulateIntoBatch(acc, &sub, 1);
     acc.Finish();
     benchmark::DoNotOptimize(counts.data());
   }

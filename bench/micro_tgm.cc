@@ -41,7 +41,7 @@ const SetDatabase& DenseBenchDb() {
 
 /// Args: (num_groups, corpus: 0 sparse Zipf | 1 dense clustered,
 /// backend: 0 roaring | 1 bitvector). `kernel` selects the batched
-/// AccumulateInto path vs the per-bit ForEach baseline it replaced.
+/// kernel path (Tgm::MatchedCounts) vs the per-bit ForEach reference.
 void TgmMatchedCountsBench(benchmark::State& state, bool kernel) {
   const SetDatabase& db = state.range(1) == 0 ? BenchDb() : DenseBenchDb();
   uint32_t groups = static_cast<uint32_t>(state.range(0));

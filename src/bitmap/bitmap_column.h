@@ -80,20 +80,10 @@ class BitmapColumn {
     return std::get<Dense>(rep_).cardinality == 0;
   }
 
-  /// Container-aware batched accumulation (see bitmap/kernels.h): adds
-  /// `weight` to acc for every value. Values must be < acc.num_groups().
-  void AccumulateInto(GroupCountAccumulator& acc, uint32_t weight) const {
-    if (const auto* r = std::get_if<Roaring>(&rep_)) {
-      r->AccumulateInto(acc, weight);
-    } else {
-      std::get<Dense>(rep_).bits.AccumulateInto(acc.counts(), weight);
-    }
-  }
-
-  /// Fan-out variant for batched probes (see bitmap/kernels.h): decodes
-  /// this column once and adds subs[i].weight into row subs[i].query of
-  /// the batch accumulator for every value. Each row's arithmetic matches
-  /// the single-query AccumulateInto exactly.
+  /// Container-aware accumulation for probes (see bitmap/kernels.h):
+  /// decodes this column once and adds subs[i].weight into row
+  /// subs[i].query of the accumulator for every value. Values must be <
+  /// acc.num_groups().
   void AccumulateIntoBatch(BatchGroupCountAccumulator& acc,
                            const QueryWeight* subs, size_t num_subs) const {
     if (const auto* r = std::get_if<Roaring>(&rep_)) {

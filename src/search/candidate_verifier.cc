@@ -8,6 +8,25 @@
 
 namespace les3 {
 namespace search {
+namespace {
+
+/// Per-thread probe buffers. They carry no state between uses, so reuse
+/// only saves the allocations that would otherwise weigh on a cheap
+/// single-query probe (batches run on pool threads, so these must not be
+/// members of the const verifier).
+struct ProbeScratch {
+  std::vector<uint32_t> min_counts;
+  std::vector<uint32_t> counts;
+  std::vector<std::vector<GroupId>> candidates;
+  std::vector<size_t> columns_visited;
+};
+
+ProbeScratch& ThreadProbeScratch() {
+  static thread_local ProbeScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 std::vector<Hit> CandidateVerifier::KnnFromCounts(
     SetView query, size_t k, uint32_t min_count, const uint32_t* counts,
@@ -96,33 +115,6 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
   return out;
 }
 
-std::vector<Hit> CandidateVerifier::Knn(SetView query, size_t k,
-                                        QueryStats* stats,
-                                        const GroupVisitFn& on_group) const {
-  WallTimer timer;
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = QueryStats();
-  if (k == 0) return {};
-
-  // A group with matched count 0 shares no token with the query, so every
-  // member has similarity exactly 0; such groups skip the bound heap
-  // entirely and only backfill the result when it underflows k. The empty
-  // query is the one exception (all counts are 0, yet empty sets have
-  // similarity 1), so it keeps every group as a candidate.
-  uint32_t min_count = query.size() == 0 ? 0 : 1;
-  std::vector<uint32_t> counts;
-  std::vector<GroupId> candidates;
-  stats->columns_scanned =
-      tgm_->MatchedCandidates(query, min_count, &counts, &candidates);
-
-  std::vector<Hit> out =
-      KnnFromCounts(query, k, min_count, counts.data(), candidates, stats,
-                    on_group);
-  stats->micros = timer.Micros();
-  return out;
-}
-
 std::vector<Hit> CandidateVerifier::RangeFromCounts(
     SetView query, double delta, const std::vector<GroupId>& candidates,
     QueryStats* stats, const GroupVisitFn& on_group) const {
@@ -165,32 +157,24 @@ std::vector<Hit> CandidateVerifier::RangeFromCounts(
   return out;
 }
 
+std::vector<Hit> CandidateVerifier::Knn(SetView query, size_t k,
+                                        QueryStats* stats,
+                                        const GroupVisitFn& on_group) const {
+  static thread_local std::vector<std::vector<Hit>> hits;
+  static thread_local std::vector<QueryStats> batch_stats;
+  KnnBatch(&query, 1, k, &hits, &batch_stats, on_group);
+  if (stats != nullptr) *stats = batch_stats[0];
+  return std::move(hits[0]);
+}
+
 std::vector<Hit> CandidateVerifier::Range(SetView query, double delta,
                                           QueryStats* stats,
                                           const GroupVisitFn& on_group) const {
-  WallTimer timer;
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = QueryStats();
-
-  // Least matched count any δ-result's group must reach; the TGM prunes
-  // groups below it during candidate generation (and short-circuits the
-  // whole scan when the query cannot attain it).
-  size_t min_count = MinOverlapForThreshold(measure_, query.size(), delta);
-  if (min_count > query.size()) {
-    // The threshold is unreachable even by an identical set.
-    stats->micros = timer.Micros();
-    return {};
-  }
-  std::vector<uint32_t> counts;
-  std::vector<GroupId> candidates;
-  stats->columns_scanned = tgm_->MatchedCandidates(
-      query, static_cast<uint32_t>(min_count), &counts, &candidates);
-
-  std::vector<Hit> out =
-      RangeFromCounts(query, delta, candidates, stats, on_group);
-  stats->micros = timer.Micros();
-  return out;
+  static thread_local std::vector<std::vector<Hit>> hits;
+  static thread_local std::vector<QueryStats> batch_stats;
+  RangeBatch(&query, 1, delta, &hits, &batch_stats, on_group);
+  if (stats != nullptr) *stats = batch_stats[0];
+  return std::move(hits[0]);
 }
 
 void CandidateVerifier::KnnBatch(const SetView* queries, size_t num_queries,
@@ -199,33 +183,42 @@ void CandidateVerifier::KnnBatch(const SetView* queries, size_t num_queries,
                                  const GroupVisitFn& on_group) const {
   hits->assign(num_queries, {});
   stats->assign(num_queries, QueryStats());
-  if (num_queries == 0 || k == 0) return;  // Knn(k == 0) returns {} with
-                                           // untouched stats
+  if (num_queries == 0 || k == 0) return;
 
-  WallTimer probe_timer;
-  std::vector<uint32_t> min_counts(num_queries);
+  WallTimer timer;
+  // A group with matched count 0 shares no token with the query, so every
+  // member has similarity exactly 0; such groups skip the bound heap
+  // entirely and only backfill the result when it underflows k. The empty
+  // query is the one exception (all counts are 0, yet empty sets have
+  // similarity 1), so it keeps every group as a candidate.
+  ProbeScratch& scratch = ThreadProbeScratch();
+  std::vector<uint32_t>& min_counts = scratch.min_counts;
+  min_counts.resize(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     min_counts[q] = queries[q].size() == 0 ? 0 : 1;
   }
-  std::vector<uint32_t> counts;
-  std::vector<std::vector<GroupId>> candidates;
-  std::vector<size_t> columns_visited;
   tgm_->MatchedCandidatesBatch(queries, num_queries, min_counts.data(),
-                               &counts, &candidates, &columns_visited);
+                               &scratch.counts, &scratch.candidates,
+                               &scratch.columns_visited);
   // The shared probe's cost is attributed evenly: it ran once for all Q
   // queries, and no per-query split of a fused column walk is meaningful.
-  const double probe_share = probe_timer.Micros() / num_queries;
+  // Each query then adds its own traversal time, read off the same
+  // running clock. With one query that sum is just the elapsed time, so
+  // the post-probe clock read is skipped.
+  double mark = num_queries > 1 ? timer.Micros() : 0.0;
+  const double probe_share = mark / num_queries;
 
   const uint32_t num_groups = tgm_->num_groups();
   for (size_t q = 0; q < num_queries; ++q) {
-    WallTimer timer;
     QueryStats& qstats = (*stats)[q];
-    qstats.columns_scanned = columns_visited[q];
+    qstats.columns_scanned = scratch.columns_visited[q];
     (*hits)[q] = KnnFromCounts(
         queries[q], k, min_counts[q],
-        counts.data() + q * static_cast<size_t>(num_groups), candidates[q],
-        &qstats, on_group);
-    qstats.micros = probe_share + timer.Micros();
+        scratch.counts.data() + q * static_cast<size_t>(num_groups),
+        scratch.candidates[q], &qstats, on_group);
+    const double now = timer.Micros();
+    qstats.micros = probe_share + (now - mark);
+    mark = now;
   }
 }
 
@@ -238,41 +231,46 @@ void CandidateVerifier::RangeBatch(const SetView* queries, size_t num_queries,
   stats->assign(num_queries, QueryStats());
   if (num_queries == 0) return;
 
-  WallTimer probe_timer;
-  // Per-query thresholds. A query whose threshold is unreachable even by
-  // an identical set skips probe and traversal entirely (the solo early
-  // return); its min_count still rides along as |Q| + 1, which the batch
-  // probe's attainable check rejects for free (attainable <= |Q|).
-  std::vector<uint32_t> min_counts(num_queries);
-  std::vector<uint8_t> unreachable(num_queries, 0);
+  WallTimer timer;
+  // Per-query least matched count any δ-result's group must reach; the
+  // TGM prunes groups below it during candidate generation. A query whose
+  // threshold is unreachable even by an identical set (min_count > |Q|)
+  // skips probe and traversal entirely: the probe's attainable check
+  // rejects it for free (attainable <= |Q|).
+  ProbeScratch& scratch = ThreadProbeScratch();
+  std::vector<uint32_t>& min_counts = scratch.min_counts;
+  min_counts.resize(num_queries);
+  bool any_reachable = false;
   for (size_t q = 0; q < num_queries; ++q) {
     size_t min_count =
         MinOverlapForThreshold(measure_, queries[q].size(), delta);
-    if (min_count > queries[q].size()) {
-      unreachable[q] = 1;
-      min_count = queries[q].size() + 1;
-    }
+    any_reachable = any_reachable || min_count <= queries[q].size();
     min_counts[q] = static_cast<uint32_t>(
-        std::min(min_count, static_cast<size_t>(UINT32_MAX)));
+        std::min(min_count, queries[q].size() + 1));
   }
-  std::vector<uint32_t> counts;
-  std::vector<std::vector<GroupId>> candidates;
-  std::vector<size_t> columns_visited;
+  if (!any_reachable) {
+    // Nothing to probe: return before any O(num_groups) work.
+    const double micros = timer.Micros() / num_queries;
+    for (QueryStats& qstats : *stats) qstats.micros = micros;
+    return;
+  }
   tgm_->MatchedCandidatesBatch(queries, num_queries, min_counts.data(),
-                               &counts, &candidates, &columns_visited);
-  const double probe_share = probe_timer.Micros() / num_queries;
+                               &scratch.counts, &scratch.candidates,
+                               &scratch.columns_visited);
+  // Probe share plus own traversal time, as in KnnBatch.
+  double mark = num_queries > 1 ? timer.Micros() : 0.0;
+  const double probe_share = mark / num_queries;
 
   for (size_t q = 0; q < num_queries; ++q) {
-    WallTimer timer;
     QueryStats& qstats = (*stats)[q];
-    if (unreachable[q]) {
-      qstats.micros = probe_share + timer.Micros();
-      continue;
+    if (min_counts[q] <= queries[q].size()) {
+      qstats.columns_scanned = scratch.columns_visited[q];
+      (*hits)[q] = RangeFromCounts(queries[q], delta, scratch.candidates[q],
+                                   &qstats, on_group);
     }
-    qstats.columns_scanned = columns_visited[q];
-    (*hits)[q] = RangeFromCounts(queries[q], delta, candidates[q], &qstats,
-                                 on_group);
-    qstats.micros = probe_share + timer.Micros();
+    const double now = timer.Micros();
+    qstats.micros = probe_share + (now - mark);
+    mark = now;
   }
 }
 

@@ -3,9 +3,10 @@
 // engine).
 //
 // The pipeline per query:
-//   1. Candidate generation: Tgm::MatchedCandidates computes every group's
-//      matched-token count in one fused pass and prunes groups below the
-//      threshold-implied minimum (Theorem 3.1).
+//   1. Candidate generation: Tgm::MatchedCandidatesBatch computes every
+//      group's matched-token count for every query of the batch in one
+//      fused column walk and prunes groups below the threshold-implied
+//      minimum (Theorem 3.1). A single query is a batch of one.
 //   2. Group traversal: range queries visit every surviving group; kNN
 //      visits them in descending bound order off a binary heap and stops at
 //      the first bound strictly below the running k-th best (groups never
@@ -60,34 +61,37 @@ class CandidateVerifier {
       : tgm_(tgm), db_(db), measure_(measure) {}
 
   /// Exact kNN (Definition 2.1). Fills `stats` (ignored when null) and
-  /// returns hits sorted by HitOrder.
+  /// returns hits sorted by HitOrder. A one-query KnnBatch.
   std::vector<Hit> Knn(SetView query, size_t k, QueryStats* stats,
                        const GroupVisitFn& on_group = {}) const;
 
-  /// Exact range search (Definition 2.2).
+  /// Exact range search (Definition 2.2). A one-query RangeBatch.
   std::vector<Hit> Range(SetView query, double delta, QueryStats* stats,
                          const GroupVisitFn& on_group = {}) const;
 
-  /// \brief Batched exact kNN: one shared column-major TGM probe
+  /// \brief Exact kNN for a batch: one shared column-major TGM probe
   /// (Tgm::MatchedCandidatesBatch) for the whole batch, then each query's
-  /// traversal unchanged over its own counter row, so hits[q] and stats[q]
-  /// are byte-identical to a solo Knn(queries[q], k) — micros aside: the
-  /// shared probe's wall time is split evenly across the batch and each
-  /// query adds its own traversal time.
+  /// traversal over its own counter row, so hits[q] and stats[q] do not
+  /// depend on what else rides in the batch — micros aside: the shared
+  /// probe's wall time is split evenly across the batch and each query
+  /// adds its own traversal time.
   void KnnBatch(const SetView* queries, size_t num_queries, size_t k,
                 std::vector<std::vector<Hit>>* hits,
                 std::vector<QueryStats>* stats,
                 const GroupVisitFn& on_group = {}) const;
 
-  /// Batched exact range search; same exactness contract as KnnBatch.
+  /// Exact range search for a batch; same contract as KnnBatch. Queries
+  /// whose threshold is unreachable even by an identical set are answered
+  /// empty without probing; a batch of only such queries returns before
+  /// any per-group work.
   void RangeBatch(const SetView* queries, size_t num_queries, double delta,
                   std::vector<std::vector<Hit>>* hits,
                   std::vector<QueryStats>* stats,
                   const GroupVisitFn& on_group = {}) const;
 
  private:
-  /// Steps 2-4 of the pipeline for one kNN query, off an already-computed
-  /// counter array (one row of a batch matrix, or a solo probe's counts).
+  /// Steps 2-4 of the pipeline for one kNN query, off its already-computed
+  /// counter row of the batch matrix.
   /// Fills every stats field except columns_scanned and micros (the
   /// caller's probe owns those).
   std::vector<Hit> KnnFromCounts(SetView query, size_t k, uint32_t min_count,

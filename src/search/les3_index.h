@@ -61,13 +61,14 @@ class Les3Index {
 
   /// Exact kNN (Definition 2.1): the k most similar sets, sorted by
   /// descending similarity (ties by ascending id). `on_group` (optional)
-  /// observes visited groups — see CandidateVerifier::GroupVisitFn.
+  /// observes visited groups — see CandidateVerifier::GroupVisitFn. A
+  /// one-query KnnBatch.
   std::vector<Hit> Knn(SetView query, size_t k, QueryStats* stats = nullptr,
                        const CandidateVerifier::GroupVisitFn& on_group = {})
       const;
 
   /// Exact range search (Definition 2.2): all sets with Sim >= delta,
-  /// sorted by descending similarity.
+  /// sorted by descending similarity. A one-query RangeBatch.
   std::vector<Hit> Range(SetView query, double delta,
                          QueryStats* stats = nullptr,
                          const CandidateVerifier::GroupVisitFn& on_group = {})
@@ -75,7 +76,7 @@ class Les3Index {
 
   /// \brief Batched exact kNN: one shared column-major TGM probe for all
   /// queries (CandidateVerifier::KnnBatch), hits[q]/stats[q] byte-identical
-  /// to a solo Knn(queries[q], k) call.
+  /// to a Knn(queries[q], k) call.
   void KnnBatch(const SetView* queries, size_t num_queries, size_t k,
                 std::vector<std::vector<Hit>>* hits,
                 std::vector<QueryStats>* stats,

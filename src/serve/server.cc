@@ -45,6 +45,11 @@ void SignalEventFd(int fd) {
   [[maybe_unused]] ssize_t n = write(fd, &one, sizeof(one));
 }
 
+bool IsQuery(MsgType type) {
+  return type == MsgType::kKnn || type == MsgType::kRange ||
+         type == MsgType::kKnnBatch || type == MsgType::kRangeBatch;
+}
+
 uint32_t PeekSeq(const uint8_t* payload, size_t size) {
   if (size < 4) return 0;
   return static_cast<uint32_t>(payload[0]) |
@@ -602,18 +607,22 @@ void Server::ExecutorLoop() {
       // ride the same engine batch call (same type, equal k / bit-identical
       // delta). Skipping incompatible entries is legal — replies are
       // matched by seq, and the executor pool already completes requests
-      // out of order.
-      const Request& head = group.front().request;
+      // out of order. A kKnnBatch/kRangeBatch request is a group that
+      // arrived already formed.
+      // The head's key is copied: pushing into `group` may reallocate it.
+      const MsgType type = group.front().request.type;
+      const uint32_t k = group.front().request.k;
+      const double delta = group.front().request.delta;
       if (options_.batch_window > 1 &&
-          (head.type == MsgType::kKnn || head.type == MsgType::kRange)) {
+          (type == MsgType::kKnn || type == MsgType::kRange)) {
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < options_.batch_window;) {
           const Request& r = it->request;
           bool compatible =
-              r.type == head.type &&
-              (head.type == MsgType::kKnn
-                   ? r.k == head.k
-                   : std::memcmp(&r.delta, &head.delta, sizeof(double)) == 0);
+              r.type == type &&
+              (type == MsgType::kKnn
+                   ? r.k == k
+                   : std::memcmp(&r.delta, &delta, sizeof(double)) == 0);
           if (compatible) {
             group.push_back(std::move(*it));
             it = queue_.erase(it);
@@ -624,11 +633,7 @@ void Server::ExecutorLoop() {
       }
       active_requests_ += group.size();
     }
-    if (group.size() == 1) {
-      Execute(group.front());
-    } else {
-      ExecuteBatch(&group);
-    }
+    Execute(&group);
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       active_requests_ -= group.size();
@@ -637,137 +642,44 @@ void Server::ExecutorLoop() {
   }
 }
 
-void Server::Execute(const Work& work) {
-  const Request& request = work.request;
-  if (options_.before_execute) options_.before_execute(request);
-
-  persist::ByteWriter frame;
-  bool expired =
-      request.deadline_ms > 0 &&
-      std::chrono::steady_clock::now() - work.arrival >=
-          std::chrono::milliseconds(request.deadline_ms);
-  if (expired) {
-    EncodeErrorResponse(request.seq, WireStatus::kDeadlineExceeded,
-                        "deadline of " + std::to_string(request.deadline_ms) +
-                            "ms expired before execution",
-                        &frame);
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.deadline_exceeded;
-  } else {
-    Response response = HandleRequest(request, work.arrival);
-    response.seq = request.seq;
-    // A result too large for one frame becomes a typed kOutOfRange reply
-    // here, so the counters below match what actually goes on the wire.
-    ClampOversizedResponse(&response, request.type);
-    EncodeResponse(response, request.type, &frame);
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    if (response.status == WireStatus::kOk) {
-      ++counters_.requests_ok;
-    } else if (response.status == WireStatus::kDeadlineExceeded) {
-      ++counters_.deadline_exceeded;
-    } else {
-      ++counters_.requests_error;
-    }
-  }
-  // Order matters: reply bytes first, then the inflight decrement, then
-  // the wake — so the flush that the wake triggers observes both and can
-  // safely complete a pending close-after-flush.
-  SubmitReply(work.conn, frame);
-  work.conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-  SignalEventFd(workers_[work.conn->worker_index]->wake_fd);
-}
-
-void Server::ExecuteBatch(std::vector<Work>* group) {
-  const size_t n = group->size();
-  const Request& head = group->front().request;
-  const bool is_knn = head.type == MsgType::kKnn;
-
+void Server::Execute(std::vector<Work>* group) {
   // Per-request prologue first, in queue order, so instrumentation and
-  // doomed requests behave exactly as on the solo path.
+  // doomed requests behave the same whatever group they ride in.
   if (options_.before_execute) {
     for (const Work& work : *group) options_.before_execute(work.request);
   }
-
-  auto reply = [this](const Work& work, const persist::ByteWriter& frame) {
-    // Same ordering contract as Execute: bytes, inflight decrement, wake.
-    SubmitReply(work.conn, frame);
-    work.conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    SignalEventFd(workers_[work.conn->worker_index]->wake_fd);
-  };
-
-  std::vector<uint8_t> done(n, 0);
-  auto now = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < n; ++i) {
-    const Work& work = (*group)[i];
-    const Request& request = work.request;
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<Response> responses(group->size());
+  std::vector<SetRecord*> queries;
+  std::vector<std::vector<Hit>*> answers;
+  for (size_t i = 0; i < group->size(); ++i) {
+    Request& request = (*group)[i].request;
+    Response& response = responses[i];
     if (request.deadline_ms > 0 &&
-        now - work.arrival >= std::chrono::milliseconds(request.deadline_ms)) {
-      persist::ByteWriter frame;
-      EncodeErrorResponse(
-          request.seq, WireStatus::kDeadlineExceeded,
-          "deadline of " + std::to_string(request.deadline_ms) +
-              "ms expired before execution",
-          &frame);
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.deadline_exceeded;
+        now - (*group)[i].arrival >=
+            std::chrono::milliseconds(request.deadline_ms)) {
+      response.status = WireStatus::kDeadlineExceeded;
+      response.message = "deadline of " +
+                         std::to_string(request.deadline_ms) +
+                         "ms expired before execution";
+    } else if (IsQuery(request.type)) {
+      response.results.resize(request.queries.size());
+      for (size_t j = 0; j < request.queries.size(); ++j) {
+        queries.push_back(&request.queries[j]);
+        answers.push_back(&response.results[j]);
       }
-      reply(work, frame);
-      done[i] = 1;
-    }
-  }
-
-  // Cache phase: peel off the hits, collect the misses. The epoch is read
-  // BEFORE the engine runs (same protocol as CachedKnn/CachedRange) so a
-  // concurrent mutation invalidates what this batch writes back.
-  std::vector<std::string> keys(n);
-  std::vector<std::vector<Hit>> hits(n);
-  std::vector<size_t> miss;
-  for (size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
-    SetView query = (*group)[i].request.queries[0].view();
-    if (cache_ != nullptr) {
-      keys[i] = is_knn ? ResultCache::KnnKey(query, head.k)
-                       : ResultCache::RangeKey(query, head.delta);
-      if (auto cached = cache_->Get(keys[i])) {
-        hits[i] = *cached;
-        continue;
-      }
-    }
-    miss.push_back(i);
-  }
-  if (!miss.empty()) {
-    uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
-    std::vector<SetRecord> queries;
-    queries.reserve(miss.size());
-    for (size_t i : miss) queries.push_back((*group)[i].request.queries[0]);
-    std::vector<api::QueryResult> answers;
-    if (engine_concurrent_insert_) {
-      answers = is_knn ? engine_->KnnBatch(queries, head.k)
-                       : engine_->RangeBatch(queries, head.delta);
     } else {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
-      answers = is_knn ? engine_->KnnBatch(queries, head.k)
-                       : engine_->RangeBatch(queries, head.delta);
+      response = HandleRequest(request);
     }
-    for (size_t j = 0; j < miss.size(); ++j) {
-      size_t i = miss[j];
-      if (cache_ != nullptr) {
-        cache_->Put(keys[i],
-                    std::make_shared<const std::vector<Hit>>(answers[j].hits),
-                    epoch);
-      }
-      hits[i] = std::move(answers[j].hits);
-    }
+    response.seq = request.seq;
   }
+  if (!queries.empty()) AnswerQueries(group->front().request, queries, answers);
 
-  for (size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
+  for (size_t i = 0; i < group->size(); ++i) {
     const Work& work = (*group)[i];
-    Response response;
-    response.seq = work.request.seq;
-    response.status = WireStatus::kOk;
-    response.results.push_back(std::move(hits[i]));
+    Response& response = responses[i];
+    // A result too large for one frame becomes a typed kOutOfRange reply
+    // here, so the counters below match what actually goes on the wire.
     ClampOversizedResponse(&response, work.request.type);
     persist::ByteWriter frame;
     EncodeResponse(response, work.request.type, &frame);
@@ -775,58 +687,67 @@ void Server::ExecuteBatch(std::vector<Work>* group) {
       std::lock_guard<std::mutex> lock(counters_mu_);
       if (response.status == WireStatus::kOk) {
         ++counters_.requests_ok;
+      } else if (response.status == WireStatus::kDeadlineExceeded) {
+        ++counters_.deadline_exceeded;
       } else {
         ++counters_.requests_error;
       }
     }
-    reply(work, frame);
+    // Order matters: reply bytes first, then the inflight decrement, then
+    // the wake — so the flush that the wake triggers observes both and can
+    // safely complete a pending close-after-flush.
+    SubmitReply(work.conn, frame);
+    work.conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    SignalEventFd(workers_[work.conn->worker_index]->wake_fd);
   }
 }
 
-std::vector<Hit> Server::CachedKnn(SetView query, size_t k) {
-  if (cache_ != nullptr) {
-    std::string key = ResultCache::KnnKey(query, k);
-    if (auto cached = cache_->Get(key)) return *cached;
-    uint64_t epoch = cache_->epoch();
-    api::QueryResult result;
-    if (engine_concurrent_insert_) {
-      result = engine_->Knn(query, k);
-    } else {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
-      result = engine_->Knn(query, k);
+void Server::AnswerQueries(const Request& head,
+                           const std::vector<SetRecord*>& queries,
+                           const std::vector<std::vector<Hit>*>& answers) {
+  const bool is_knn =
+      head.type == MsgType::kKnn || head.type == MsgType::kKnnBatch;
+  // Cache phase: hits are answered in place, misses collected. A missed
+  // query is moved into the engine call — its request needs it no more.
+  std::vector<std::string> keys;
+  std::vector<size_t> miss;
+  std::vector<SetRecord> miss_queries;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (cache_ != nullptr) {
+      SetView query = queries[i]->view();
+      std::string key = is_knn ? ResultCache::KnnKey(query, head.k)
+                               : ResultCache::RangeKey(query, head.delta);
+      if (auto cached = cache_->Get(key)) {
+        *answers[i] = *cached;
+        continue;
+      }
+      keys.push_back(std::move(key));
     }
-    cache_->Put(key,
-                std::make_shared<const std::vector<Hit>>(result.hits), epoch);
-    return std::move(result.hits);
+    miss.push_back(i);
+    miss_queries.push_back(std::move(*queries[i]));
   }
-  if (engine_concurrent_insert_) return engine_->Knn(query, k).hits;
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
-  return engine_->Knn(query, k).hits;
-}
-
-std::vector<Hit> Server::CachedRange(SetView query, double delta) {
-  if (cache_ != nullptr) {
-    std::string key = ResultCache::RangeKey(query, delta);
-    if (auto cached = cache_->Get(key)) return *cached;
-    uint64_t epoch = cache_->epoch();
-    api::QueryResult result;
-    if (engine_concurrent_insert_) {
-      result = engine_->Range(query, delta);
-    } else {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
-      result = engine_->Range(query, delta);
+  if (miss.empty()) return;
+  // The epoch is read BEFORE the engine runs, so a mutation completing
+  // concurrently invalidates what this call writes back.
+  const uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
+  std::vector<api::QueryResult> results;
+  {
+    std::shared_lock<std::shared_mutex> lock(engine_mu_, std::defer_lock);
+    if (!engine_concurrent_insert_) lock.lock();
+    results = is_knn ? engine_->KnnBatch(miss_queries, head.k)
+                     : engine_->RangeBatch(miss_queries, head.delta);
+  }
+  for (size_t j = 0; j < miss.size(); ++j) {
+    if (cache_ != nullptr) {
+      cache_->Put(keys[j],
+                  std::make_shared<const std::vector<Hit>>(results[j].hits),
+                  epoch);
     }
-    cache_->Put(key,
-                std::make_shared<const std::vector<Hit>>(result.hits), epoch);
-    return std::move(result.hits);
+    *answers[miss[j]] = std::move(results[j].hits);
   }
-  if (engine_concurrent_insert_) return engine_->Range(query, delta).hits;
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
-  return engine_->Range(query, delta).hits;
 }
 
-Response Server::HandleRequest(
-    const Request& request, std::chrono::steady_clock::time_point arrival) {
+Response Server::HandleRequest(const Request& request) {
   Response response;
   response.status = WireStatus::kOk;
   switch (request.type) {
@@ -853,16 +774,10 @@ Response Server::HandleRequest(
       break;
     }
     case MsgType::kKnn:
-      response.results.push_back(
-          CachedKnn(request.queries[0].view(), request.k));
-      break;
     case MsgType::kRange:
-      response.results.push_back(
-          CachedRange(request.queries[0].view(), request.delta));
-      break;
     case MsgType::kKnnBatch:
     case MsgType::kRangeBatch:
-      HandleWireBatch(request, arrival, &response);
+      LES3_CHECK(false && "queries are answered by AnswerQueries");
       break;
     case MsgType::kInsert: {
       Result<SetId> inserted = [&]() -> Result<SetId> {
@@ -940,69 +855,6 @@ Response Server::HandleRequest(
     }
   }
   return response;
-}
-
-void Server::HandleWireBatch(const Request& request,
-                             std::chrono::steady_clock::time_point arrival,
-                             Response* response) {
-  const bool is_knn = request.type == MsgType::kKnnBatch;
-  const size_t n = request.queries.size();
-  auto expired = [&]() {
-    return request.deadline_ms > 0 &&
-           std::chrono::steady_clock::now() - arrival >=
-               std::chrono::milliseconds(request.deadline_ms);
-  };
-  auto deadline_response = [&]() {
-    *response = Response{};
-    response->status = WireStatus::kDeadlineExceeded;
-    response->message = "deadline of " + std::to_string(request.deadline_ms) +
-                        "ms expired mid-batch";
-  };
-  response->results.resize(n);
-  std::vector<std::string> keys(n);
-  std::vector<size_t> miss;
-  for (size_t i = 0; i < n; ++i) {
-    SetView query = request.queries[i].view();
-    if (cache_ != nullptr) {
-      keys[i] = is_knn ? ResultCache::KnnKey(query, request.k)
-                       : ResultCache::RangeKey(query, request.delta);
-      if (auto cached = cache_->Get(keys[i])) {
-        response->results[i] = *cached;
-        continue;
-      }
-    }
-    miss.push_back(i);
-  }
-  if (miss.empty()) return;
-  // The budget is re-checked once between the cache phase and the engine
-  // call (the fused probe is all-or-nothing, so there is no per-query
-  // point to check at). Expiry still voids the WHOLE response.
-  if (expired()) {
-    deadline_response();
-    return;
-  }
-  uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
-  std::vector<SetRecord> queries;
-  queries.reserve(miss.size());
-  for (size_t i : miss) queries.push_back(request.queries[i]);
-  std::vector<api::QueryResult> answers;
-  if (engine_concurrent_insert_) {
-    answers = is_knn ? engine_->KnnBatch(queries, request.k)
-                     : engine_->RangeBatch(queries, request.delta);
-  } else {
-    std::shared_lock<std::shared_mutex> lock(engine_mu_);
-    answers = is_knn ? engine_->KnnBatch(queries, request.k)
-                     : engine_->RangeBatch(queries, request.delta);
-  }
-  for (size_t j = 0; j < miss.size(); ++j) {
-    size_t i = miss[j];
-    if (cache_ != nullptr) {
-      cache_->Put(keys[i],
-                  std::make_shared<const std::vector<Hit>>(answers[j].hits),
-                  epoch);
-    }
-    response->results[i] = std::move(answers[j].hits);
-  }
 }
 
 }  // namespace serve

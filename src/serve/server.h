@@ -27,8 +27,7 @@
 //  - Deadline budgets: a request's deadline_ms counts from the moment its
 //    frame was decoded. An executor that pops an already-expired request
 //    replies kDeadlineExceeded instead of running the query, so a backlog
-//    of doomed requests cannot occupy the workers. Batch requests
-//    re-check the budget between queries.
+//    of doomed requests cannot occupy the workers.
 //  - Result cache: Knn/Range answers are served from a sharded LRU
 //    (serve/result_cache.h) whose global epoch is bumped after every
 //    completed mutation (Insert/Delete/Update) — exactness is preserved,
@@ -89,14 +88,14 @@ struct ServerOptions {
   size_t cache_bytes = 64u << 20;
   size_t cache_shards = 16;
 
-  /// Executor coalescing window. An executor that pops a single-query
-  /// kKnn/kRange request may drain up to batch_window-1 more COMPATIBLE
-  /// pending requests (same type; equal k / bit-identical delta) from the
-  /// queue and answer the whole group through ONE engine batch call — the
-  /// batched column probe amortizes the TGM walk across the group.
+  /// Executor coalescing window. Every query runs through one engine batch
+  /// call; an executor that pops a single-query kKnn/kRange request may
+  /// drain up to batch_window-1 more COMPATIBLE pending requests (same
+  /// type; equal k / bit-identical delta) from the queue into that call —
+  /// the batched column probe amortizes the TGM walk across the group.
   /// Replies stay per-request (each keeps its seq, deadline, cache entry,
   /// and counters) and are byte-identical to sequential execution. 1
-  /// disables coalescing.
+  /// means every single-query request is a group of one.
   size_t batch_window = 1;
 
   /// Test instrumentation. `before_execute` runs in the executor after a
@@ -179,24 +178,21 @@ class Server {
   /// False when the queue is full or the server is draining.
   bool TryEnqueue(Work work);
 
-  void Execute(const Work& work);
-  /// Answers a coalesced group of compatible kKnn/kRange requests through
-  /// one engine batch call (see ServerOptions::batch_window). Each
-  /// member's deadline, cache entry, counters, and reply are handled
-  /// individually, exactly as Execute would.
-  void ExecuteBatch(std::vector<Work>* group);
-  Response HandleRequest(const Request& request,
-                         std::chrono::steady_clock::time_point arrival);
-  /// Answers a kKnnBatch/kRangeBatch body: cache hits peel off per query,
-  /// the misses run as ONE engine KnnBatch/RangeBatch, each miss's answer
-  /// is cached. Deadline expiry turns the whole response into
-  /// kDeadlineExceeded, as the sequential loop did.
-  void HandleWireBatch(const Request& request,
-                       std::chrono::steady_clock::time_point arrival,
-                       Response* response);
-  /// One Knn/Range through the cache; `hits` receives a shared list.
-  std::vector<Hit> CachedKnn(SetView query, size_t k);
-  std::vector<Hit> CachedRange(SetView query, double delta);
+  /// Answers one group of requests popped together: a coalesced run of
+  /// compatible kKnn/kRange requests (see ServerOptions::batch_window), a
+  /// kKnnBatch/kRangeBatch request (a group that arrived already formed),
+  /// or a single other request. Each request's deadline, counters, and
+  /// reply are handled individually.
+  void Execute(std::vector<Work>* group);
+  /// The non-query verbs (ping, describe, mutations, maintenance).
+  Response HandleRequest(const Request& request);
+  /// The one query path: cache lookups for every query, ONE engine
+  /// KnnBatch/RangeBatch call for the misses, and their answers written
+  /// back to the cache. All queries share `head`'s type and k / delta;
+  /// answers[i] receives query i's hits. Missed queries are moved out.
+  void AnswerQueries(const Request& head,
+                     const std::vector<SetRecord*>& queries,
+                     const std::vector<std::vector<Hit>*>& answers);
 
   std::shared_ptr<api::SearchEngine> engine_;
   ServerOptions options_;

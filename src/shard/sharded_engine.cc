@@ -84,31 +84,24 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Build(
   // Sharded snapshots do not carry trained cascades (format v2).
   build.cascade.keep_models = false;
   size_t hw = HardwareThreads();
-  if (num_shards > 1 && build.cascade.num_threads == 0) {
+  if (build.cascade.num_threads == 0) {
     // Shard-level parallelism replaces cascade-level parallelism: S
     // concurrent builds each training on hw/S threads keeps the machine
     // busy without oversubscribing it S-fold.
     build.cascade.num_threads = std::max<size_t>(1, hw / num_shards);
   }
-  if (num_shards > 1) {
-    // Constant TOTAL training budget across the fleet: each shard's split
-    // problems involve 1/S of the data, and pruning is insensitive to
-    // sample count beyond a modest threshold (paper Section 7.1), so each
-    // shard's models train on pairs_per_model / S samples (floored, and
-    // never raised above the caller's setting). Together with the
-    // cross-shard parallelism above, this is why sharded build scales:
-    // less work per model AND concurrent shards.
-    size_t floor = std::min<size_t>(2000, build.cascade.pairs_per_model);
-    build.cascade.pairs_per_model =
-        std::max(floor, build.cascade.pairs_per_model / num_shards);
-  }
+  // Constant TOTAL training budget across the fleet: each shard's split
+  // problems involve 1/S of the data, and pruning is insensitive to sample
+  // count beyond a modest threshold (paper Section 7.1), so each shard's
+  // models train on pairs_per_model / S samples (floored, and never raised
+  // above the caller's setting). Together with the cross-shard parallelism
+  // above, this is why sharded build scales: less work per model AND
+  // concurrent shards.
+  size_t floor = std::min<size_t>(2000, build.cascade.pairs_per_model);
+  build.cascade.pairs_per_model =
+      std::max(floor, build.cascade.pairs_per_model / num_shards);
 
-  if (num_shards == 1) {
-    engine->shards_[0]->index = std::make_unique<search::Les3Index>(
-        search::BuildIndexOverShared(engine->shards_[0]->db, build));
-    engine->activities_[0]->Grow(engine->shards_[0]->index->tgm().num_groups());
-    return engine;
-  }
+  // One shard builds on the calling thread (a one-cell ParallelFor).
   ThreadPool build_pool(std::min(num_shards, hw));
   build_pool.ParallelFor(num_shards, [&](size_t s) {
     engine->shards_[s]->index = std::make_unique<search::Les3Index>(
@@ -134,255 +127,146 @@ std::unique_ptr<ShardedEngine> ShardedEngine::FromSnapshot(
   return engine;
 }
 
-ShardedEngine::Probe ShardedEngine::RunProbe(
-    size_t s, const std::function<std::vector<Hit>(
-                  const search::Les3Index&, search::QueryStats*)>& run) const {
-  Probe probe;
+void ShardedEngine::ProbeChunk(size_t s, const SetView* queries, size_t nq,
+                               const QuerySpec& spec, Probe* out,
+                               size_t stride) const {
+  std::vector<std::vector<Hit>> hits;
+  std::vector<search::QueryStats> stats;
+  uint64_t live = 0;
   const Shard& sh = *shards_[s];
   {
     std::shared_lock<std::shared_mutex> lock(sh.mu);
-    probe.hits = run(*sh.index, &probe.stats);
-    probe.shard_size = sh.db->size();
+    // The group-visit hook feeds the maintenance priorities: relaxed
+    // atomic adds under the shard reader lock, contention-free with other
+    // probes.
+    auto on_group = [this, s](GroupId g, size_t candidates) {
+      activities_[s]->Observe(g, candidates);
+    };
+    if (spec.knn) {
+      sh.index->KnnBatch(queries, nq, spec.k, &hits, &stats, on_group);
+    } else {
+      sh.index->RangeBatch(queries, nq, spec.delta, &hits, &stats, on_group);
+    }
+    // Deleted ids are not searchable, so pruning efficiency is against
+    // the live population, as on the single-index engine.
+    live = sh.db->num_live();
   }
-  const SetId stride = static_cast<SetId>(shards_.size());
-  if (stride > 1) {
-    for (Hit& h : probe.hits) {
-      h.first = h.first * stride + static_cast<SetId>(s);
+  const SetId num_shards = static_cast<SetId>(shards_.size());
+  for (size_t q = 0; q < nq; ++q) {
+    Probe& p = out[q * stride];
+    p.hits = std::move(hits[q]);
+    p.stats = stats[q];
+    p.shard_live = live;
+    for (Hit& h : p.hits) {
+      h.first = h.first * num_shards + static_cast<SetId>(s);
     }
   }
-  return probe;
 }
 
-ShardedEngine::Probe ShardedEngine::ProbeKnn(size_t s, SetView query,
-                                             size_t k) const {
-  // The group-visit hook feeds the maintenance priorities: relaxed
-  // atomic adds under the shard reader lock, contention-free with other
-  // probes.
-  return RunProbe(s,
-                  [&](const search::Les3Index& index,
-                      search::QueryStats* stats) {
-                    return index.Knn(query, k, stats,
-                                     [this, s](GroupId g, size_t candidates) {
-                                       activities_[s]->Observe(g, candidates);
-                                     });
-                  });
-}
-
-ShardedEngine::Probe ShardedEngine::ProbeRange(size_t s,
-                                               SetView query,
-                                               double delta) const {
-  return RunProbe(s,
-                  [&](const search::Les3Index& index,
-                      search::QueryStats* stats) {
-                    return index.Range(query, delta, stats,
-                                       [this, s](GroupId g, size_t candidates) {
-                                         activities_[s]->Observe(g, candidates);
-                                       });
-                  });
-}
-
-void ShardedEngine::AccumulateProbe(const Probe& probe,
-                                    search::QueryStats* stats,
-                                    uint64_t* db_size,
-                                    double* critical_path) {
-  stats->candidates_verified += probe.stats.candidates_verified;
-  stats->candidates_size_skipped += probe.stats.candidates_size_skipped;
-  stats->groups_visited += probe.stats.groups_visited;
-  stats->groups_pruned += probe.stats.groups_pruned;
-  stats->columns_scanned += probe.stats.columns_scanned;
-  *db_size += probe.shard_size;
-  *critical_path = std::max(*critical_path, probe.stats.micros);
-}
-
-api::QueryResult ShardedEngine::MergeKnn(std::vector<Probe> probes,
-                                         size_t k) const {
+api::QueryResult ShardedEngine::Merge(const Probe* probes,
+                                      const QuerySpec& spec) const {
   api::QueryResult out;
-  TopKHits best(k);
-  uint64_t db_size = 0;
-  double critical_path = 0.0;
-  for (Probe& p : probes) {
-    // Every global top-k hit is a top-k hit of its own shard (fewer than
-    // k shard-mates beat it under HitOrder), so offering the per-shard
-    // top-k lists to one TopKHits reproduces the exact global answer —
-    // similarity ties resolving toward the smaller GLOBAL id, because the
-    // local-to-global mapping is monotone within a shard.
-    for (const Hit& h : p.hits) best.Offer(h);
-    AccumulateProbe(p, &out.stats, &db_size, &critical_path);
+  // Every global top-k hit is a top-k hit of its own shard (fewer than k
+  // shard-mates beat it under HitOrder), so offering the per-shard top-k
+  // lists to one TopKHits reproduces the exact global answer — similarity
+  // ties resolving toward the smaller GLOBAL id, because the
+  // local-to-global mapping is monotone within a shard. Range answers are
+  // exact per shard, so they concatenate.
+  TopKHits best(spec.k);
+  uint64_t live = 0;
+  search::QueryStats& stats = out.stats;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Probe& p = probes[s];
+    if (spec.knn) {
+      for (const Hit& h : p.hits) best.Offer(h);
+    } else {
+      out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
+    }
+    stats.candidates_verified += p.stats.candidates_verified;
+    stats.candidates_size_skipped += p.stats.candidates_size_skipped;
+    stats.groups_visited += p.stats.groups_visited;
+    stats.groups_pruned += p.stats.groups_pruned;
+    stats.columns_scanned += p.stats.columns_scanned;
+    live += p.shard_live;
+    // Scatter-gather latency is the slowest shard probe; the single-query
+    // entry points overwrite this with the measured wall time.
+    stats.micros = std::max(stats.micros, p.stats.micros);
   }
-  out.hits = best.Take();
-  out.stats.results = out.hits.size();
-  out.stats.pruning_efficiency =
-      search::KnnPruningEfficiency(db_size, out.stats.candidates_verified, k);
-  // Scatter-gather latency is the slowest shard probe; the single-query
-  // entry points overwrite this with the measured wall time.
-  out.stats.micros = critical_path;
+  if (spec.knn) {
+    out.hits = best.Take();
+  } else {
+    SortHits(&out.hits);
+  }
+  stats.results = out.hits.size();
+  stats.pruning_efficiency =
+      spec.knn ? search::KnnPruningEfficiency(live, stats.candidates_verified,
+                                              spec.k)
+               : search::RangePruningEfficiency(
+                     live, stats.candidates_verified, stats.results);
   return out;
 }
 
-api::QueryResult ShardedEngine::MergeRange(std::vector<Probe> probes) const {
-  api::QueryResult out;
-  uint64_t db_size = 0;
-  double critical_path = 0.0;
-  for (Probe& p : probes) {
-    out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
-    AccumulateProbe(p, &out.stats, &db_size, &critical_path);
+std::vector<api::QueryResult> ShardedEngine::RunGrid(
+    const SetView* queries, size_t nq, const QuerySpec& spec) const {
+  const size_t num_shards = shards_.size();
+  std::vector<api::QueryResult> results(nq);
+  if (nq == 0) return results;
+  // One flat (chunk, shard) grid on ONE pool — layering the batch over
+  // per-query scatters would call into the pool from inside a pool task,
+  // which would Submit to (and Wait on) the pool it runs on: a deadlock,
+  // not just a slowdown. Each cell is one fused batched probe (one column
+  // walk per chunk); each shard still sees every chunk, so the grid keeps
+  // all cores busy even on few-shard engines. A single query is one
+  // chunk: one cell per shard, and a one-shard engine's only cell runs on
+  // the calling thread.
+  const size_t num_chunks = (nq + kBatchChunk - 1) / kBatchChunk;
+  std::vector<Probe> probes(nq * num_shards);
+  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
+    const size_t c = t / num_shards;
+    const size_t s = t % num_shards;
+    const size_t begin = c * kBatchChunk;
+    const size_t n = std::min(kBatchChunk, nq - begin);
+    ProbeChunk(s, queries + begin, n, spec, &probes[begin * num_shards + s],
+               num_shards);
+  });
+  for (size_t q = 0; q < nq; ++q) {
+    results[q] = Merge(&probes[q * num_shards], spec);
   }
-  SortHits(&out.hits);
-  out.stats.results = out.hits.size();
-  out.stats.pruning_efficiency = search::RangePruningEfficiency(
-      db_size, out.stats.candidates_verified, out.stats.results);
-  out.stats.micros = critical_path;
-  return out;
+  return results;
+}
+
+std::vector<api::QueryResult> ShardedEngine::RunGrid(
+    const std::vector<SetRecord>& queries, const QuerySpec& spec) const {
+  std::vector<SetView> views;
+  views.reserve(queries.size());
+  for (const SetRecord& q : queries) views.push_back(q.view());
+  return RunGrid(views.data(), views.size(), spec);
 }
 
 api::QueryResult ShardedEngine::Knn(SetView query, size_t k) const {
   WallTimer timer;
-  const size_t num_shards = shards_.size();
-  std::vector<Probe> probes(num_shards);
-  if (num_shards == 1) {
-    probes[0] = ProbeKnn(0, query, k);
-  } else {
-    pool().ParallelFor(num_shards,
-                       [&](size_t s) { probes[s] = ProbeKnn(s, query, k); });
-  }
-  api::QueryResult out = MergeKnn(std::move(probes), k);
+  api::QueryResult out =
+      std::move(RunGrid(&query, 1, {/*knn=*/true, k, 0.0})[0]);
   out.stats.micros = timer.Micros();
   return out;
 }
 
-api::QueryResult ShardedEngine::RangeImpl(SetView query,
-                                          double delta) const {
+api::QueryResult ShardedEngine::RangeImpl(SetView query, double delta) const {
   WallTimer timer;
-  const size_t num_shards = shards_.size();
-  std::vector<Probe> probes(num_shards);
-  if (num_shards == 1) {
-    probes[0] = ProbeRange(0, query, delta);
-  } else {
-    pool().ParallelFor(
-        num_shards, [&](size_t s) { probes[s] = ProbeRange(s, query, delta); });
-  }
-  api::QueryResult out = MergeRange(std::move(probes));
+  api::QueryResult out =
+      std::move(RunGrid(&query, 1, {/*knn=*/false, 0, delta})[0]);
   out.stats.micros = timer.Micros();
   return out;
-}
-
-void ShardedEngine::BatchProbeKnn(size_t s, const SetView* queries, size_t nq,
-                                  size_t k, Probe* out, size_t stride) const {
-  std::vector<std::vector<Hit>> hits;
-  std::vector<search::QueryStats> stats;
-  uint64_t shard_size = 0;
-  const Shard& sh = *shards_[s];
-  {
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    sh.index->KnnBatch(queries, nq, k, &hits, &stats,
-                       [this, s](GroupId g, size_t candidates) {
-                         activities_[s]->Observe(g, candidates);
-                       });
-    shard_size = sh.db->size();
-  }
-  const SetId id_stride = static_cast<SetId>(shards_.size());
-  for (size_t q = 0; q < nq; ++q) {
-    Probe& p = out[q * stride];
-    p.hits = std::move(hits[q]);
-    p.stats = stats[q];
-    p.shard_size = shard_size;
-    if (id_stride > 1) {
-      for (Hit& h : p.hits) {
-        h.first = h.first * id_stride + static_cast<SetId>(s);
-      }
-    }
-  }
-}
-
-void ShardedEngine::BatchProbeRange(size_t s, const SetView* queries,
-                                    size_t nq, double delta, Probe* out,
-                                    size_t stride) const {
-  std::vector<std::vector<Hit>> hits;
-  std::vector<search::QueryStats> stats;
-  uint64_t shard_size = 0;
-  const Shard& sh = *shards_[s];
-  {
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    sh.index->RangeBatch(queries, nq, delta, &hits, &stats,
-                         [this, s](GroupId g, size_t candidates) {
-                           activities_[s]->Observe(g, candidates);
-                         });
-    shard_size = sh.db->size();
-  }
-  const SetId id_stride = static_cast<SetId>(shards_.size());
-  for (size_t q = 0; q < nq; ++q) {
-    Probe& p = out[q * stride];
-    p.hits = std::move(hits[q]);
-    p.stats = stats[q];
-    p.shard_size = shard_size;
-    if (id_stride > 1) {
-      for (Hit& h : p.hits) {
-        h.first = h.first * id_stride + static_cast<SetId>(s);
-      }
-    }
-  }
 }
 
 std::vector<api::QueryResult> ShardedEngine::KnnBatch(
     const std::vector<SetRecord>& queries, size_t k) const {
-  const size_t num_shards = shards_.size();
-  const size_t nq = queries.size();
-  std::vector<api::QueryResult> results(nq);
-  if (nq == 0) return results;
-  // One flat (chunk, shard) grid on ONE pool — the base-class batch path
-  // would call Knn from inside a pool task, which would Submit to (and
-  // Wait on) the pool it runs on: a deadlock, not just a slowdown. Each
-  // task is one fused batched probe (one column walk per chunk), the
-  // tentpole's whole point; each shard still sees every chunk, so the
-  // grid keeps all cores busy even on few-shard engines.
-  std::vector<SetView> views;
-  views.reserve(nq);
-  for (const SetRecord& q : queries) views.push_back(q.view());
-  const size_t num_chunks = (nq + kBatchChunk - 1) / kBatchChunk;
-  std::vector<Probe> probes(nq * num_shards);
-  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
-    const size_t c = t / num_shards;
-    const size_t s = t % num_shards;
-    const size_t begin = c * kBatchChunk;
-    const size_t n = std::min(kBatchChunk, nq - begin);
-    BatchProbeKnn(s, views.data() + begin, n, k,
-                  &probes[begin * num_shards + s], num_shards);
-  });
-  for (size_t q = 0; q < nq; ++q) {
-    std::vector<Probe> per(
-        std::make_move_iterator(probes.begin() + q * num_shards),
-        std::make_move_iterator(probes.begin() + (q + 1) * num_shards));
-    results[q] = MergeKnn(std::move(per), k);
-  }
-  return results;
+  return RunGrid(queries, {/*knn=*/true, k, 0.0});
 }
 
 std::vector<api::QueryResult> ShardedEngine::RangeBatchImpl(
     const std::vector<SetRecord>& queries, double delta) const {
-  const size_t num_shards = shards_.size();
-  const size_t nq = queries.size();
-  std::vector<api::QueryResult> results(nq);
-  if (nq == 0) return results;
-  std::vector<SetView> views;
-  views.reserve(nq);
-  for (const SetRecord& q : queries) views.push_back(q.view());
-  const size_t num_chunks = (nq + kBatchChunk - 1) / kBatchChunk;
-  std::vector<Probe> probes(nq * num_shards);
-  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
-    const size_t c = t / num_shards;
-    const size_t s = t % num_shards;
-    const size_t begin = c * kBatchChunk;
-    const size_t n = std::min(kBatchChunk, nq - begin);
-    BatchProbeRange(s, views.data() + begin, n, delta,
-                    &probes[begin * num_shards + s], num_shards);
-  });
-  for (size_t q = 0; q < nq; ++q) {
-    std::vector<Probe> per(
-        std::make_move_iterator(probes.begin() + q * num_shards),
-        std::make_move_iterator(probes.begin() + (q + 1) * num_shards));
-    results[q] = MergeRange(std::move(per));
-  }
-  return results;
+  return RunGrid(queries, {/*knn=*/false, 0, delta});
 }
 
 Result<SetId> ShardedEngine::Insert(SetRecord set) {
@@ -395,9 +279,9 @@ Result<SetId> ShardedEngine::Insert(SetRecord set) {
   SetId gid = static_cast<SetId>(global_db_->size());
   Shard& sh = *shards_[gid % num_shards];
   std::unique_lock<std::shared_mutex> shard_lock(sh.mu);
-  // With one shard the slice is the global database and the index insert
-  // below is the single append.
-  if (num_shards > 1) global_db_->AddSet(set);
+  // A one-shard slice IS the global database, and the index insert below
+  // is then the single append.
+  if (sh.db != global_db_) global_db_->AddSet(set);
   SetId local = sh.index->Insert(std::move(set));
   // The arithmetic mapping stays closed under inserts: the new local id
   // is exactly gid / num_shards.
@@ -415,19 +299,13 @@ Status ShardedEngine::Delete(SetId id) {
   }
   Shard& sh = *shards_[id % num_shards];
   std::unique_lock<std::shared_mutex> shard_lock(sh.mu);
-  if (num_shards == 1) {
-    // The slice IS the global database; the index delete tombstones both.
-    if (!sh.index->Delete(id)) {
-      return Status::Internal("shard delete failed for id " +
-                              std::to_string(id));
-    }
-    return Status::OK();
-  }
   if (!sh.index->Delete(id / num_shards)) {
     return Status::Internal("shard delete failed for id " +
                             std::to_string(id));
   }
-  global_db_->DeleteSet(id);
+  // A one-shard slice IS the global database: the index delete above
+  // already tombstoned it.
+  if (sh.db != global_db_) global_db_->DeleteSet(id);
   return Status::OK();
 }
 
@@ -439,9 +317,8 @@ Status ShardedEngine::Update(SetId id, SetRecord set) {
   }
   Shard& sh = *shards_[id % num_shards];
   std::unique_lock<std::shared_mutex> shard_lock(sh.mu);
-  if (num_shards > 1) global_db_->ReplaceSet(id, set);
-  const SetId local = num_shards == 1 ? id : id / num_shards;
-  if (!sh.index->Update(local, std::move(set))) {
+  if (sh.db != global_db_) global_db_->ReplaceSet(id, set);
+  if (!sh.index->Update(id / num_shards, std::move(set))) {
     return Status::Internal("shard update failed for id " +
                             std::to_string(id));
   }

@@ -40,7 +40,6 @@
 #define LES3_SHARD_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -79,8 +78,8 @@ class ShardedEngine : public api::SearchEngine {
   /// pool: the batch is cut into fixed-size chunks and each shard answers
   /// a whole chunk in one fused Les3Index::KnnBatch call under a single
   /// reader-lock acquisition — one batched column probe per (shard,
-  /// chunk) instead of one task per (query, shard). Results are merged
-  /// per query exactly as the single-query scatter-gather does.
+  /// chunk) instead of one task per (query, shard). Knn is the same grid
+  /// over one query.
   std::vector<api::QueryResult> KnnBatch(const std::vector<SetRecord>& queries,
                                          size_t k) const override;
 
@@ -163,12 +162,20 @@ class ShardedEngine : public api::SearchEngine {
   };
 
   /// What one shard contributes to a query: hits already mapped to global
-  /// ids, the shard's stats, and its current size (for pruning
+  /// ids, the shard's stats, and its live set count (for pruning
   /// efficiency over the whole database).
   struct Probe {
     std::vector<Hit> hits;
     search::QueryStats stats;
-    uint64_t shard_size = 0;
+    uint64_t shard_live = 0;
+  };
+
+  /// The request every query of one grid run shares: kNN with `k`, or
+  /// Range with `delta`.
+  struct QuerySpec {
+    bool knn;
+    size_t k;
+    double delta;
   };
 
   ShardedEngine(std::shared_ptr<SetDatabase> db, size_t num_shards,
@@ -181,31 +188,26 @@ class ShardedEngine : public api::SearchEngine {
   static std::vector<std::shared_ptr<SetDatabase>> SplitDb(
       const std::shared_ptr<SetDatabase>& db, size_t num_shards);
 
-  /// Runs `run` against shard s's index under its reader lock, then maps
-  /// the returned hits to global ids — the one place the locking protocol
-  /// and the id mapping live.
-  Probe RunProbe(size_t s,
-                 const std::function<std::vector<Hit>(
-                     const search::Les3Index&, search::QueryStats*)>& run)
-      const;
-  Probe ProbeKnn(size_t s, SetView query, size_t k) const;
-  Probe ProbeRange(size_t s, SetView query, double delta) const;
+  /// \brief The one query path: cuts the queries into fixed-size chunks
+  /// and runs every (chunk, shard) cell on ONE pool, then merges each
+  /// query's per-shard probes. A single query is a one-chunk grid.
+  std::vector<api::QueryResult> RunGrid(const SetView* queries, size_t nq,
+                                        const QuerySpec& spec) const;
+  std::vector<api::QueryResult> RunGrid(const std::vector<SetRecord>& queries,
+                                        const QuerySpec& spec) const;
 
-  /// \brief One fused sub-batch probe: shard `s` answers all `nq` queries
-  /// through the index's batched pipeline under ONE reader-lock
-  /// acquisition, writing query q's probe (hits mapped to global ids) to
-  /// out[q * stride]. Byte-identical per query to ProbeKnn/ProbeRange.
-  void BatchProbeKnn(size_t s, const SetView* queries, size_t nq, size_t k,
-                     Probe* out, size_t stride) const;
-  void BatchProbeRange(size_t s, const SetView* queries, size_t nq,
-                       double delta, Probe* out, size_t stride) const;
+  /// \brief One grid cell: shard `s` answers all `nq` queries through the
+  /// index's batched pipeline under ONE reader-lock acquisition, writing
+  /// query q's probe (hits mapped to global ids) to out[q * stride] — the
+  /// one place the locking protocol and the id mapping live.
+  void ProbeChunk(size_t s, const SetView* queries, size_t nq,
+                  const QuerySpec& spec, Probe* out, size_t stride) const;
 
-  /// Sums one probe's counters into `stats` and tracks the whole-database
-  /// size and the slowest probe (the scatter-gather critical path).
-  static void AccumulateProbe(const Probe& probe, search::QueryStats* stats,
-                              uint64_t* db_size, double* critical_path);
-  api::QueryResult MergeKnn(std::vector<Probe> probes, size_t k) const;
-  api::QueryResult MergeRange(std::vector<Probe> probes) const;
+  /// Merges one query's per-shard probes (`probes[0 .. num_shards)`):
+  /// global top-k or concatenated range answer, summed counters, pruning
+  /// efficiency over the live database, and the slowest probe's micros
+  /// (the scatter-gather critical path).
+  api::QueryResult Merge(const Probe* probes, const QuerySpec& spec) const;
 
   /// One bounded maintenance cycle on shard `s`, under its writer lock.
   search::MaintenanceReport MaintainShard(size_t s);

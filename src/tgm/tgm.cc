@@ -88,49 +88,20 @@ Tgm::MemberWindow Tgm::MembersInSizeWindow(GroupId g, size_t size_lo,
 }
 
 size_t Tgm::MatchedCounts(SetView query, std::vector<uint32_t>* counts) const {
-  // One accumulator per thread: its difference array is all-zero between
-  // uses and carries no index-specific state, so reusing it only saves the
-  // per-query allocation (batch queries run on a thread pool, so this must
-  // not be a member of the const Tgm).
-  static thread_local bitmap::GroupCountAccumulator acc;
-  acc.Reset(num_groups(), counts);
-  size_t columns_visited = 0;
-  ForEachTokenMultiplicity(query, [&](TokenId t, uint32_t m) {
-    if (t >= columns_.size()) return;  // token outside T: M[*, t] = 0
-    const bitmap::BitmapColumn& col = columns_[t];
-    if (col.Empty()) return;
-    ++columns_visited;
-    col.AccumulateInto(acc, m);
-  });
-  acc.Finish();
-  return columns_visited;
+  static thread_local std::vector<size_t> columns_visited;
+  MatchedCountsBatch(&query, 1, counts, &columns_visited);
+  return columns_visited[0];
 }
 
 size_t Tgm::MatchedCandidates(SetView query, uint32_t min_count,
                               std::vector<uint32_t>* counts,
                               std::vector<GroupId>* candidates) const {
-  candidates->clear();
-  // Short-circuit: if even a group containing every query token cannot
-  // attain min_count, no column scan can produce a candidate.
-  if (min_count > 0) {
-    uint32_t attainable = 0;
-    ForEachTokenMultiplicity(query, [&](TokenId t, uint32_t m) {
-      if (t < columns_.size() && !columns_[t].Empty()) attainable += m;
-    });
-    if (attainable < min_count) {
-      counts->assign(num_groups(), 0);
-      return 0;
-    }
-  }
-  size_t visited = MatchedCounts(query, counts);
-  // Harvest: groups below min_count can no longer reach the bound (all
-  // columns are folded in), so they are pruned without ever computing an
-  // upper bound or entering the search frontier.
-  candidates->reserve(counts->size());
-  for (GroupId g = 0; g < counts->size(); ++g) {
-    if ((*counts)[g] >= min_count) candidates->push_back(g);
-  }
-  return visited;
+  static thread_local std::vector<std::vector<GroupId>> rows;
+  static thread_local std::vector<size_t> columns_visited;
+  MatchedCandidatesBatch(&query, 1, &min_count, counts, &rows,
+                         &columns_visited);
+  candidates->swap(rows[0]);
+  return columns_visited[0];
 }
 
 namespace {
@@ -149,19 +120,22 @@ size_t Tgm::MatchedCandidatesBatch(
     const SetView* queries, size_t num_queries, const uint32_t* min_counts,
     std::vector<uint32_t>* counts, std::vector<std::vector<GroupId>>* candidates,
     std::vector<size_t>* columns_visited) const {
-  // Thread-local scratch mirrors MatchedCounts: the plan, fan-out buffer
-  // and accumulator carry no index-specific state between uses, so reuse
-  // only amortizes allocations across batches on pool threads.
+  // One scratch set per thread: the plan, fan-out buffer and accumulator
+  // carry no index-specific state between uses, so reuse only amortizes
+  // allocations across probes (batches run on pool threads, so this must
+  // not be a member of the const Tgm).
   static thread_local bitmap::BatchGroupCountAccumulator acc;
   static thread_local std::vector<TokenSubscriber> plan;
   static thread_local std::vector<bitmap::QueryWeight> fan;
 
   const uint32_t nq = static_cast<uint32_t>(num_queries);
+  const uint32_t ng = num_groups();
   columns_visited->assign(num_queries, 0);
 
-  // Invert: per query, the same canonicalization loop as the solo path.
-  // Queries whose attainable count cannot reach their threshold subscribe
-  // to nothing (the solo short-circuit), leaving an all-zero row.
+  // Invert: canonicalize each query into (token, multiplicity) entries.
+  // Short-circuit: a query whose attainable count (summed multiplicity of
+  // its tokens with non-empty columns) cannot reach its threshold
+  // subscribes to nothing, leaving an all-zero row.
   plan.clear();
   for (uint32_t q = 0; q < nq; ++q) {
     if (min_counts != nullptr && min_counts[q] > 0) {
@@ -179,16 +153,19 @@ size_t Tgm::MatchedCandidatesBatch(
     });
   }
   // Group subscribers by column; query order within a column keeps each
-  // row's kernel sequence identical to its solo walk (the sums are exact
-  // integers, so any order would do — identical order just makes the
-  // byte-exactness argument trivial).
-  std::sort(plan.begin(), plan.end(),
-            [](const TokenSubscriber& a, const TokenSubscriber& b) {
-              return a.token != b.token ? a.token < b.token
-                                        : a.query < b.query;
-            });
+  // row's kernel sequence independent of the batch it rides in (the sums
+  // are exact integers, so any order would do — a fixed order just makes
+  // the byte-exactness argument trivial).
+  // A single query's plan is already in token order.
+  if (nq > 1) {
+    std::sort(plan.begin(), plan.end(),
+              [](const TokenSubscriber& a, const TokenSubscriber& b) {
+                return a.token != b.token ? a.token < b.token
+                                          : a.query < b.query;
+              });
+  }
 
-  acc.Reset(nq, num_groups(), counts);
+  acc.Reset(nq, ng, counts);
   size_t distinct_columns = 0;
   size_t i = 0;
   while (i < plan.size()) {
@@ -204,18 +181,20 @@ size_t Tgm::MatchedCandidatesBatch(
   acc.Finish();
 
   if (candidates != nullptr) {
-    candidates->assign(num_queries, {});
+    // Rows keep their capacity across calls: a caller reusing the vector
+    // (the per-thread probe scratch) harvests without allocating.
+    candidates->resize(num_queries);
+    for (auto& row : *candidates) row.clear();
     const uint32_t* rows = counts->data();
     for (uint32_t q = 0; q < nq; ++q) {
       const uint32_t min_count = min_counts != nullptr ? min_counts[q] : 0;
-      const uint32_t* row = rows + static_cast<size_t>(q) * num_groups();
-      // Hopeless queries harvested nothing on the solo path either: their
-      // short-circuit returns before the harvest loop. (With min_count > 0,
-      // zero columns visited can only mean the attainable check failed.)
+      const uint32_t* row = rows + static_cast<size_t>(q) * ng;
+      // Hopeless queries harvest nothing. (With min_count > 0, zero
+      // columns visited can only mean the attainable check failed.)
       if (min_count > 0 && (*columns_visited)[q] == 0) continue;
       auto& out = (*candidates)[q];
-      out.reserve(num_groups());
-      for (GroupId g = 0; g < num_groups(); ++g) {
+      out.reserve(ng);
+      for (GroupId g = 0; g < ng; ++g) {
         if (row[g] >= min_count) out.push_back(g);
       }
     }

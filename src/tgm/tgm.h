@@ -121,41 +121,39 @@ class Tgm {
   const std::vector<GroupId>& group_assignment() const { return group_of_; }
 
   /// \brief Fills `counts[g]` with Σ_{t in Q} M[g, t] (query multiplicity
-  /// counted, per Equation 2/4), fusing all query-token columns into the
-  /// one counter array through the batched kernels. `counts` is resized to
-  /// num_groups(). Returns the number of non-empty token columns visited.
+  /// counted, per Equation 2/4). `counts` is resized to num_groups().
+  /// Returns the number of non-empty token columns visited. A one-query
+  /// MatchedCountsBatch.
   size_t MatchedCounts(SetView query, std::vector<uint32_t>* counts) const;
 
   /// \brief Threshold-aware MatchedCounts: additionally fills `candidates`
   /// with the groups whose count reached `min_count` (ascending GroupId).
-  /// Short-circuits without touching any column when even a group matching
-  /// every query token could not reach `min_count` — i.e. when the total
-  /// attainable count (summed multiplicity of query tokens with non-empty
-  /// columns) falls below it — and skips hopeless groups during the
-  /// harvest. With min_count == 0 every group is a candidate.
+  /// A one-query MatchedCandidatesBatch.
   size_t MatchedCandidates(SetView query, uint32_t min_count,
                            std::vector<uint32_t>* counts,
                            std::vector<GroupId>* candidates) const;
 
-  /// \brief Batched MatchedCounts over `num_queries` canonicalized queries:
+  /// \brief MatchedCounts over `num_queries` canonicalized queries at once:
   /// inverts the batch into a token -> subscriber plan and walks each
   /// referenced column once, fanning its decoded containers out to every
-  /// subscribing query's counter row. `counts` is resized to
-  /// num_queries * num_groups() (row-major; row q is query q's counter
-  /// array, byte-identical to a solo MatchedCounts run).
-  /// `columns_visited` is resized to the per-query non-empty column counts
-  /// (the solo MatchedCounts return values). Returns the number of
-  /// *distinct* columns walked — the work the batch actually did.
+  /// subscribing query's counter row through the container-aware kernels
+  /// of bitmap/kernels.h. `counts` is resized to num_queries * num_groups()
+  /// (row-major; row q is query q's counter array, independent of what
+  /// else rides in the batch). `columns_visited` is resized to the
+  /// per-query non-empty column counts. Returns the number of *distinct*
+  /// columns walked — the work the batch actually did.
   size_t MatchedCountsBatch(const SetView* queries, size_t num_queries,
                             std::vector<uint32_t>* counts,
                             std::vector<size_t>* columns_visited) const;
 
-  /// \brief Batched MatchedCandidates: per-query thresholds in
-  /// `min_counts[0 .. num_queries)`. Queries whose attainable count falls
-  /// below their threshold are excluded from the shared walk entirely
-  /// (zero counter row, empty candidate list, columns_visited 0 — exactly
-  /// the solo short-circuit). `candidates[q]` gets query q's qualifying
-  /// groups ascending. Returns the number of distinct columns walked.
+  /// \brief Threshold-aware MatchedCountsBatch: per-query thresholds in
+  /// `min_counts[0 .. num_queries)`. A query whose attainable count (the
+  /// summed multiplicity of its tokens with non-empty columns) falls below
+  /// its threshold is excluded from the shared walk entirely (zero counter
+  /// row, empty candidate list, columns_visited 0), and hopeless groups are
+  /// skipped during the harvest. With min_count == 0 every group is a
+  /// candidate. `candidates[q]` gets query q's qualifying groups
+  /// ascending. Returns the number of distinct columns walked.
   size_t MatchedCandidatesBatch(const SetView* queries, size_t num_queries,
                                 const uint32_t* min_counts,
                                 std::vector<uint32_t>* counts,
@@ -177,9 +175,10 @@ class Tgm {
   void BackfillZeroCountGroups(const uint32_t* counts, uint32_t min_count,
                                TopKHits* best) const;
 
-  /// \brief Reference per-bit implementation of MatchedCounts (the
-  /// pre-kernel ForEach loop). Kept as the differential baseline for the
-  /// property tests and the micro benches; not used on the query path.
+  /// \brief Reference per-bit implementation of MatchedCounts (a plain
+  /// ForEach loop, sharing no code with the batched kernels). Kept as the
+  /// independent differential oracle for the tests and the micro benches;
+  /// not used on the query path.
   size_t MatchedCountsReference(SetView query,
                                 std::vector<uint32_t>* counts) const;
 

@@ -62,6 +62,12 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
+  if (n == 1) {
+    // One cell has nothing to spread: a handoff to a worker would only add
+    // a cross-thread wake to the caller's latency.
+    fn(0);
+    return;
+  }
   // Chunked dispatch: one task per worker stride to bound queue churn.
   size_t chunks = std::min(n, num_threads() * 4);
   std::atomic<size_t> next{0};

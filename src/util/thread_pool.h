@@ -38,6 +38,7 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) across the pool and waits for THIS call's
   /// work only — concurrent ParallelFor calls on one pool do not convoy
   /// on each other (unlike Wait(), which blocks on the global queue).
+  /// A single cell (n == 1) runs on the calling thread.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:

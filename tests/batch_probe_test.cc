@@ -3,9 +3,12 @@
 // and per-query counters) with sequential Knn / Range on every backend,
 // every similarity measure, and both bitmap backends — including ragged
 // batches, empty queries, duplicate-token multisets, out-of-universe
-// tokens, unreachable thresholds, and a batch of one. The batched pipeline
-// replays the exact per-query kernel sequence of the solo walk, so any
-// divergence here is a bug, not a tolerance.
+// tokens, unreachable thresholds, and a batch of one. A single query runs
+// as a batch of one, and each row of a batch runs the same per-query
+// kernel sequence, so any divergence here is a bug, not a tolerance. Since
+// the solo entry points are that same code, every answer is also held to
+// brute force over the same database — the oracle that shares nothing
+// with the probe.
 
 #include <gtest/gtest.h>
 
@@ -102,10 +105,14 @@ void ExpectExactStats(const search::QueryStats& expected,
   EXPECT_EQ(expected.pruning_efficiency, actual.pruning_efficiency) << label;
 }
 
-void ExpectBatchMatchesSequential(const SearchEngine& engine,
-                                  const std::vector<SetRecord>& queries,
-                                  const std::string& label,
-                                  bool check_stats) {
+void ExpectBatchMatchesSequential(
+    const SearchEngine& engine, const std::vector<SetRecord>& queries,
+    const std::string& label, bool check_stats,
+    SimilarityMeasure measure = SimilarityMeasure::kJaccard) {
+  EngineOptions oracle_options;
+  oracle_options.measure = measure;
+  auto oracle = MustBuild(std::make_shared<SetDatabase>(*engine.StableDb()),
+                          "brute_force", oracle_options);
   for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{1000}}) {
     std::vector<QueryResult> batch = engine.KnnBatch(queries, k);
     ASSERT_EQ(batch.size(), queries.size()) << label;
@@ -115,6 +122,8 @@ void ExpectBatchMatchesSequential(const SearchEngine& engine,
           label + " knn k=" + std::to_string(k) + " q=" + std::to_string(i);
       EXPECT_TRUE(batch[i].status.ok()) << tag;
       ExpectExactHits(solo.hits, batch[i].hits, tag);
+      ExpectExactHits(oracle->Knn(queries[i].view(), k).hits, batch[i].hits,
+                      tag + " vs brute_force");
       if (check_stats) ExpectExactStats(solo.stats, batch[i].stats, tag);
     }
   }
@@ -130,6 +139,8 @@ void ExpectBatchMatchesSequential(const SearchEngine& engine,
           label + " range d=" + std::to_string(delta) + " q=" + std::to_string(i);
       EXPECT_TRUE(batch[i].status.ok()) << tag;
       ExpectExactHits(solo.hits, batch[i].hits, tag);
+      ExpectExactHits(oracle->Range(queries[i].view(), delta).hits,
+                      batch[i].hits, tag + " vs brute_force");
       if (check_stats) ExpectExactStats(solo.stats, batch[i].stats, tag);
     }
   }
@@ -168,7 +179,7 @@ TEST(BatchProbe, MeasuresTimesBitmapBackendsMatchSequential) {
         std::string label = backend + "/" + ToString(measure) + "/" +
                             bitmap::ToString(bitmap_backend);
         ExpectBatchMatchesSequential(*engine, queries, label,
-                                     backend == "les3");
+                                     backend == "les3", measure);
       }
     }
   }

@@ -75,10 +75,12 @@ TEST_P(BitmapColumnBackendTest, AccumulateMatchesForEachPerKind) {
       uint32_t n = values.back() + 1;
       BitmapColumn col = BitmapColumn::FromSorted(GetParam(), values);
       if (GetParam() == BitmapBackend::kRoaring) col.RunOptimize();
-      // Accumulator path (runs go through the difference array).
+      // Accumulator path at Q = 1 (runs go through the difference array).
       std::vector<uint32_t> counts;
-      GroupCountAccumulator acc(n, &counts);
-      col.AccumulateInto(acc, 3);
+      BatchGroupCountAccumulator acc;
+      acc.Reset(1, n, &counts);
+      const QueryWeight sub{0, 3};
+      col.AccumulateIntoBatch(acc, &sub, 1);
       acc.Finish();
       EXPECT_EQ(counts, ReferenceCounts(col, n, 3));
       // Direct-array path.
@@ -189,9 +191,11 @@ TEST_P(BitmapColumnBackendTest, AccumulatorFusesManyColumns) {
     weights.push_back(w);
   }
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(kUniverse, &counts);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(1, kUniverse, &counts);
   for (size_t c = 0; c < cols.size(); ++c) {
-    cols[c].AccumulateInto(acc, weights[c]);
+    const QueryWeight sub{0, weights[c]};
+    cols[c].AccumulateIntoBatch(acc, &sub, 1);
   }
   acc.Finish();
   EXPECT_EQ(counts, expected);
@@ -246,8 +250,10 @@ TEST_P(BitmapColumnBackendTest, EmptyColumn) {
   EXPECT_EQ(col.Cardinality(), 0u);
   EXPECT_FALSE(col.Contains(0));
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(16, &counts);
-  col.AccumulateInto(acc, 2);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(1, 16, &counts);
+  const QueryWeight sub{0, 2};
+  col.AccumulateIntoBatch(acc, &sub, 1);
   acc.Finish();
   EXPECT_EQ(counts, std::vector<uint32_t>(16, 0));
 }
@@ -257,26 +263,57 @@ INSTANTIATE_TEST_SUITE_P(Backends, BitmapColumnBackendTest,
                                            BitmapBackend::kBitVector),
                          [](const auto& info) { return ToString(info.param); });
 
-TEST(GroupCountAccumulatorTest, RangesFoldExactly) {
+TEST(BatchGroupCountAccumulatorTest, RangesFoldExactly) {
+  // Three rows over 10 groups: direct adds and ranges mix within a row,
+  // and no row's ranges leak into another (row 1 has none at all).
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(10, &counts);
-  acc.counts()[2] += 5;
-  acc.AddRange(0, 3, 2);
-  acc.AddRange(3, 9, 1);
-  acc.AddRange(9, 9, 7);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(3, 10, &counts);
+  acc.row(0)[2] += 5;
+  acc.AddRange(0, 0, 3, 2);
+  acc.AddRange(0, 3, 9, 1);
+  acc.AddRange(0, 9, 9, 7);
+  acc.row(1)[4] += 1;
+  acc.AddRange(2, 0, 9, 4);
+  acc.AddRange(2, 5, 5, 1);
   acc.Finish();
-  EXPECT_EQ(counts,
-            (std::vector<uint32_t>{2, 2, 7, 3, 1, 1, 1, 1, 1, 8}));
+  EXPECT_EQ(counts, (std::vector<uint32_t>{2, 2, 7, 3, 1, 1, 1, 1, 1, 8,  //
+                                           0, 0, 0, 0, 1, 0, 0, 0, 0, 0,  //
+                                           4, 4, 4, 4, 4, 5, 4, 4, 4, 4}));
 }
 
-TEST(GroupCountAccumulatorTest, ResetClearsState) {
+TEST(BatchGroupCountAccumulatorTest, ResetClearsState) {
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(4, &counts);
-  acc.AddRange(0, 3, 9);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(2, 4, &counts);
+  acc.AddRange(0, 0, 3, 9);
+  acc.AddRange(1, 1, 2, 9);
   acc.Finish();
-  acc.Reset(6, &counts);
+  acc.Reset(3, 6, &counts);
   acc.Finish();
-  EXPECT_EQ(counts, std::vector<uint32_t>(6, 0));
+  EXPECT_EQ(counts, std::vector<uint32_t>(18, 0));
+}
+
+TEST(BatchGroupCountAccumulatorTest, AbandonedBindingLeavesNoResidue) {
+  // A binding dropped after AddRange without Finish() leaves deltas in
+  // the difference matrix; the next Reset — here with a different Q and
+  // group count, so the stale deltas sit at other offsets of the new
+  // layout — must discard them.
+  std::vector<uint32_t> counts;
+  BatchGroupCountAccumulator acc;
+  acc.Reset(4, 8, &counts);
+  acc.AddRange(0, 0, 7, 3);
+  acc.AddRange(2, 1, 4, 5);
+  acc.AddRange(3, 7, 7, 1);
+  // No Finish(): abandon the binding.
+  acc.Reset(3, 5, &counts);
+  acc.Finish();
+  EXPECT_EQ(counts, std::vector<uint32_t>(15, 0));
+  // And the accumulator is fully usable again afterwards.
+  acc.Reset(2, 3, &counts);
+  acc.AddRange(1, 0, 2, 2);
+  acc.Finish();
+  EXPECT_EQ(counts, (std::vector<uint32_t>{0, 0, 0, 2, 2, 2}));
 }
 
 TEST(BitmapBackendTest, ParseRoundTrips) {

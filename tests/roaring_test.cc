@@ -297,8 +297,9 @@ TEST(RoaringTest, AndCardinalityAcrossAllNineKindPairs) {
 }
 
 TEST(RoaringTest, AccumulateIntoAcrossAllKinds) {
-  // Fuse one column of each kind with distinct weights; the accumulator
-  // must agree with a scalar reference regardless of which kernels fire.
+  // Fuse one column of each kind with distinct weights into a one-row
+  // accumulator; it must agree with a scalar reference regardless of
+  // which kernels fire.
   std::vector<uint32_t> expected(1u << 16, 0);
   std::vector<KindFixture> fixtures;
   for (int kind = 0; kind < 3; ++kind) {
@@ -306,9 +307,11 @@ TEST(RoaringTest, AccumulateIntoAcrossAllKinds) {
     for (uint32_t v : fixtures.back().ref) expected[v] += kind + 1;
   }
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(1u << 16, &counts);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(1, 1u << 16, &counts);
   for (int kind = 0; kind < 3; ++kind) {
-    fixtures[kind].bitmap.AccumulateInto(acc, kind + 1);
+    const QueryWeight sub{0, static_cast<uint32_t>(kind + 1)};
+    fixtures[kind].bitmap.AccumulateIntoBatch(acc, &sub, 1);
   }
   acc.Finish();
   EXPECT_EQ(counts, expected);

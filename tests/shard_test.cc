@@ -124,6 +124,34 @@ TEST(ShardedEngineTest, BatchMatchesSequential) {
   }
 }
 
+TEST(ShardedEngineTest, PruningEfficiencyCountsLiveSetsOnly) {
+  // A one-shard engine runs the same index as les3, so after the same
+  // deletes both must verify the same candidates and report the same
+  // pruning efficiency — measured against the live population, not the
+  // id space with its tombstoned holes.
+  EngineOptions les3_options = FastOptions(1);
+  les3_options.backend = Backend::kLes3;
+  auto les3 = MustBuild(MakeDb(9), les3_options);
+  auto sharded = MustBuild(MakeDb(9), FastOptions(1));
+  for (SetId id = 0; id < 300; id += 3) {
+    ASSERT_TRUE(les3->Delete(id).ok());
+    ASSERT_TRUE(sharded->Delete(id).ok());
+  }
+  for (SetId qid : {1u, 40u, 122u, 257u}) {
+    SetView q = les3->db().set(qid);
+    QueryResult a = les3->Knn(q, 10);
+    QueryResult b = sharded->Knn(q, 10);
+    EXPECT_EQ(a.stats.candidates_verified, b.stats.candidates_verified);
+    EXPECT_EQ(a.stats.pruning_efficiency, b.stats.pruning_efficiency)
+        << "knn q=" << qid;
+    a = les3->Range(q, 0.4);
+    b = sharded->Range(q, 0.4);
+    EXPECT_EQ(a.stats.candidates_verified, b.stats.candidates_verified);
+    EXPECT_EQ(a.stats.pruning_efficiency, b.stats.pruning_efficiency)
+        << "range q=" << qid;
+  }
+}
+
 TEST(ShardedEngineTest, InsertRoutesToOneShardAndIsImmediatelyVisible) {
   auto db = MakeDb(8);
   auto engine = MustBuild(db, FastOptions(3));

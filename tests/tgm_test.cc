@@ -142,6 +142,78 @@ TEST(TgmTest, RunOptimizeKeepsSemantics) {
   EXPECT_EQ(before, after);
 }
 
+TEST(TgmTest, BatchRowsMatchReferenceOracle) {
+  // Every row of the batched probe against the per-bit reference loop,
+  // which shares no code with the container kernels. Contiguous group
+  // blocks give run containers after RunOptimize; the ragged queries and
+  // per-row thresholds cover the empty query, multisets, tokens outside
+  // the universe, and hopeless min_counts.
+  datagen::ZipfOptions opts;
+  opts.num_sets = 600;
+  opts.num_tokens = 150;
+  opts.seed = 11;
+  SetDatabase db = GenerateZipf(opts);
+  const uint32_t n = 40;
+  std::vector<GroupId> assignment(db.size());
+  for (SetId i = 0; i < db.size(); ++i) assignment[i] = i * n / db.size();
+  std::vector<SetRecord> queries;
+  queries.emplace_back();                                   // empty
+  queries.push_back(SetRecord::FromSortedTokens({0}));      // singleton
+  queries.push_back(SetRecord::FromSortedTokens({5, 5, 5}));  // multiset
+  queries.push_back(SetRecord::FromSortedTokens({200, 209}));  // unseen
+  queries.push_back(SetRecord::FromSortedTokens({1, 1, 7, 151, 160}));
+  for (SetId i = 0; i < db.size(); i += 53) queries.emplace_back(db.set(i));
+  std::vector<SetView> views;
+  for (const SetRecord& q : queries) views.push_back(q.view());
+
+  for (auto backend :
+       {bitmap::BitmapBackend::kRoaring, bitmap::BitmapBackend::kBitVector}) {
+    Tgm tgm(db, assignment, n, backend);
+    tgm.RunOptimize();
+    // Per-row thresholds cycle through none, any match, two matches, and
+    // one more than the query has tokens (hopeless by construction).
+    std::vector<uint32_t> min_counts;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const uint32_t cycle[] = {0, 1, 2,
+                                static_cast<uint32_t>(views[q].size() + 1)};
+      min_counts.push_back(cycle[q % 4]);
+    }
+    std::vector<uint32_t> counts;
+    std::vector<std::vector<GroupId>> candidates;
+    std::vector<size_t> visited;
+    tgm.MatchedCandidatesBatch(views.data(), views.size(), min_counts.data(),
+                               &counts, &candidates, &visited);
+    ASSERT_EQ(counts.size(), views.size() * n);
+    for (size_t q = 0; q < views.size(); ++q) {
+      std::string tag = bitmap::ToString(backend) + " q=" + std::to_string(q);
+      std::vector<uint32_t> reference;
+      size_t reference_visited =
+          tgm.MatchedCountsReference(views[q], &reference);
+      uint32_t attainable = 0;
+      for (TokenId t : views[q]) {
+        bool present = false;
+        for (GroupId g = 0; g < n; ++g) present = present || tgm.Test(g, t);
+        attainable += present;
+      }
+      std::vector<uint32_t> row(counts.begin() + q * n,
+                                counts.begin() + (q + 1) * n);
+      if (attainable < min_counts[q]) {  // short-circuited: nothing walked
+        EXPECT_EQ(row, std::vector<uint32_t>(n, 0)) << tag;
+        EXPECT_TRUE(candidates[q].empty()) << tag;
+        EXPECT_EQ(visited[q], 0u) << tag;
+        continue;
+      }
+      EXPECT_EQ(row, reference) << tag;
+      EXPECT_EQ(visited[q], reference_visited) << tag;
+      std::vector<GroupId> expected;
+      for (GroupId g = 0; g < n; ++g) {
+        if (reference[g] >= min_counts[q]) expected.push_back(g);
+      }
+      EXPECT_EQ(candidates[q], expected) << tag;
+    }
+  }
+}
+
 TEST(TgmUpdateTest, ClosedUniverseInsertChoosesBestGroup) {
   SetDatabase db = Figure1Db();
   Tgm tgm(db, kFig1Assignment, 2);

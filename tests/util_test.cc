@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <thread>
 
 #include "util/csv.h"
 #include "util/random.h"
@@ -127,6 +128,30 @@ TEST(ThreadPoolTest, ParallelForCoversIndices) {
   std::vector<std::atomic<int>> hits(257);
   pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, SingleCellParallelForRunsOnCaller) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  pool.ParallelFor(1, [&](size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // From a task of another pool (a server executor calling into an engine
+  // pool, say), the one cell still runs on that task's thread.
+  ThreadPool outer(1);
+  std::thread::id task_thread, cell_thread;
+  outer.Submit([&] {
+    task_thread = std::this_thread::get_id();
+    pool.ParallelFor(1, [&](size_t) {
+      cell_thread = std::this_thread::get_id();
+    });
+  });
+  outer.Wait();
+  EXPECT_NE(task_thread, std::this_thread::get_id());
+  EXPECT_EQ(cell_thread, task_thread);
 }
 
 TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
