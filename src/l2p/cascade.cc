@@ -1,8 +1,7 @@
 #include "l2p/cascade.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
+#include <memory>
 
 #include "partition/partitioner.h"
 #include "partition/sorted_init.h"
@@ -31,8 +30,15 @@ SplitOutcome SplitGroup(const SetDatabase& db, const ml::Matrix& reps,
   Rng rng(seed);
   const size_t n = members.size();
 
-  // Sample training pairs within the group. Representations live in the
-  // global matrix, so pair endpoints are global set ids.
+  // Gather the group's representation rows into a local block: pairs index
+  // it, so the trainer's per-batch dedup table is O(group size), not O(|D|).
+  ml::Matrix local(n, reps.cols());
+  for (size_t i = 0; i < n; ++i) {
+    const float* row = reps.Row(members[i]);
+    std::copy(row, row + reps.cols(), local.Row(i));
+  }
+
+  // Sample training pairs within the group.
   uint64_t max_pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
   size_t num_pairs =
       static_cast<size_t>(std::min<uint64_t>(options.pairs_per_model,
@@ -46,7 +52,8 @@ SplitOutcome SplitGroup(const SetDatabase& db, const ml::Matrix& reps,
     float dissim = static_cast<float>(
         1.0 - Similarity(options.measure, db.set(members[a]),
                          db.set(members[b])));
-    pairs.push_back(ml::SiamesePair{members[a], members[b], dissim});
+    pairs.push_back(ml::SiamesePair{static_cast<uint32_t>(a),
+                                    static_cast<uint32_t>(b), dissim});
   }
 
   std::vector<size_t> layer_sizes;
@@ -58,12 +65,12 @@ SplitOutcome SplitGroup(const SetDatabase& db, const ml::Matrix& reps,
 
   ml::SiameseOptions sopts = options.siamese;
   sopts.seed = rng.Next();
-  outcome.stats = TrainSiamese(&net, reps, pairs, sopts);
+  outcome.stats = TrainSiamese(&net, local, pairs, sopts);
 
   // Route members by the output neuron.
   std::vector<float> outputs(n);
   for (size_t i = 0; i < n; ++i) {
-    outputs[i] = net.ForwardOne(reps.Row(members[i]))[0];
+    outputs[i] = net.ForwardOne(local.Row(i))[0];
   }
   auto route = [&](float threshold) {
     outcome.model.threshold = threshold;
@@ -126,8 +133,12 @@ CascadeResult TrainCascade(const SetDatabase& db,
   }
   result.levels.push_back(CascadeLevel{assignment, num_groups});
 
-  ThreadPool pool(options.num_threads);
+  // Built when the first level has groups to split: at the serving
+  // default a shard often trains nothing, and its workers would only be
+  // started and joined.
+  std::unique_ptr<ThreadPool> pool;
   Rng level_rng(options.seed);
+  size_t largest_group = 0;
 
   while (num_groups < options.target_groups) {
     auto groups = partition::GroupMembers(assignment, num_groups);
@@ -150,14 +161,17 @@ CascadeResult TrainCascade(const SetDatabase& db,
       to_split.resize(budget);
     }
 
+    if (!pool) pool = std::make_unique<ThreadPool>(options.num_threads);
+    for (uint32_t g : to_split) {
+      largest_group = std::max(largest_group, groups[g].size());
+    }
+
     std::vector<SplitOutcome> outcomes(to_split.size());
     std::vector<uint64_t> seeds(to_split.size());
     for (size_t i = 0; i < to_split.size(); ++i) seeds[i] = level_rng.Next();
-    std::atomic<uint64_t> models{0};
-    pool.ParallelFor(to_split.size(), [&](size_t i) {
+    pool->ParallelFor(to_split.size(), [&](size_t i) {
       outcomes[i] =
           SplitGroup(db, reps, groups[to_split[i]], options, seeds[i]);
-      models.fetch_add(1);
     });
 
     // Apply splits: side 0 keeps the old id, side 1 gets a fresh id.
@@ -185,12 +199,17 @@ CascadeResult TrainCascade(const SetDatabase& db,
   }
 
   result.train_seconds = timer.Seconds();
-  // Working set: all model parameters (kept for routing), one mini-batch of
-  // pair representations, and the pair buffer of the largest model.
+  // Working set: all model parameters (kept for routing), one mini-batch's
+  // cached activations (at most 2 * batch distinct rows through every
+  // layer), the pair buffer, and the largest group's local representation
+  // block with its dedup table.
+  size_t layer_widths = rep.dim() + 1;
+  for (size_t h : options.hidden_layers) layer_widths += h;
   result.working_memory_bytes =
       result.model_memory_bytes +
-      2 * options.siamese.batch_size * rep.dim() * sizeof(float) +
-      options.pairs_per_model * sizeof(ml::SiamesePair);
+      2 * options.siamese.batch_size * layer_widths * sizeof(float) +
+      options.pairs_per_model * sizeof(ml::SiamesePair) +
+      largest_group * (rep.dim() * sizeof(float) + sizeof(uint32_t));
   return result;
 }
 

@@ -16,7 +16,15 @@
 //
 // Every level's assignment is retained so the hierarchical index (HTGM,
 // tgm/htgm.h) can be built from any prefix of levels. Models at the same
-// level train in parallel (the future-work direction of Section 7.2).
+// level train in parallel (the future-work direction of Section 7.2); each
+// model depends only on its group and its seed, so the result is the same
+// for any thread count.
+//
+// Training cost: each split gathers its group's representation rows into a
+// local block that its pairs index, and the trainer (ml/siamese.h) forwards
+// each distinct row of a mini-batch once, eight samples side by side. The
+// trained weights, and so every routing decision, are bit-identical to the
+// per-sample scalar trainer under the same libm expf (ml/mlp.h).
 
 #ifndef LES3_L2P_CASCADE_H_
 #define LES3_L2P_CASCADE_H_
@@ -81,7 +89,9 @@ struct CascadeResult {
   double train_seconds = 0.0;        // wall time, training + inference
   uint64_t models_trained = 0;
   uint64_t model_memory_bytes = 0;   // all model parameters
-  uint64_t working_memory_bytes = 0; // params + one mini-batch + pair buffer
+  /// Params + one mini-batch's activations + pair buffer + the largest
+  /// trained group's local representation block and dedup table.
+  uint64_t working_memory_bytes = 0;
   /// Loss curve of the first trained model (Figure 7a).
   std::vector<float> first_model_losses;
   /// One snapshot per trained model, in training order; filled only when

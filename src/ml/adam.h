@@ -17,14 +17,22 @@ struct AdamOptions {
   float epsilon = 1e-8f;
 };
 
+/// `size` contiguous parameters and their gradients.
+struct ParamSpan {
+  float* values;
+  const float* grads;
+  size_t size;
+};
+
 /// \brief Adam with bias-corrected first/second moment estimates.
 class Adam {
  public:
   Adam(size_t num_params, AdamOptions options = {});
 
-  /// Applies one update: params[i] -= lr * m_hat / (sqrt(v_hat) + eps).
-  /// `params` are pointers into the model, `grads` is the flat gradient.
-  void Step(const std::vector<float*>& params, const std::vector<float>& grads);
+  /// Applies one update in place: values[i] -= lr * m_hat / (sqrt(v_hat) +
+  /// eps). The spans, concatenated in order, cover all `num_params`
+  /// parameters (moment i belongs to the i-th value of that concatenation).
+  void Step(const std::vector<ParamSpan>& spans);
 
   size_t step_count() const { return t_; }
 

@@ -1,5 +1,6 @@
 #include "ml/mlp.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -8,7 +9,45 @@ namespace les3 {
 namespace ml {
 namespace {
 
+// Samples the forward pass computes side by side.
+constexpr size_t kLanes = 8;
+
 inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+/// y[k] += a * x[k] for k < n. Every element is its own accumulator, so
+/// the fixed-width chunks vectorise at the baseline ISA without changing
+/// any result.
+inline void AddScaled(float a, const float* __restrict x,
+                      float* __restrict y, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    for (size_t j = 0; j < kLanes; ++j) y[k + j] += a * x[k + j];
+  }
+  for (; k < n; ++k) y[k] += a * x[k];
+}
+
+/// One layer over one block of kLanes samples, lane-major in and out
+/// (in[k * kLanes + j] is input k of sample j). Lane j computes exactly the
+/// scalar z = b[o]; z += w[o][k] * x[k] in order k = 0, 1, ...
+void LayerBlock(const Matrix& w, const std::vector<float>& b,
+                const float* in, float* out) {
+  for (size_t o = 0; o < w.rows(); ++o) {
+    const float* wr = w.Row(o);
+    float z[kLanes];
+    for (size_t j = 0; j < kLanes; ++j) z[j] = b[o];
+    for (size_t k = 0; k < w.cols(); ++k) {
+      const float wk = wr[k];
+      const float* xk = in + k * kLanes;
+      for (size_t j = 0; j < kLanes; ++j) z[j] += wk * xk[j];
+    }
+    // Sigmoid with one scalar libm exp per lane (a vector exp would not be
+    // bit-exact); the add and divide are exact in any width.
+    float e[kLanes];
+    for (size_t j = 0; j < kLanes; ++j) e[j] = std::exp(-z[j]);
+    float* y = out + o * kLanes;
+    for (size_t j = 0; j < kLanes; ++j) y[j] = 1.0f / (1.0f + e[j]);
+  }
+}
 
 }  // namespace
 
@@ -26,31 +65,45 @@ Mlp::Mlp(std::vector<size_t> layer_sizes, uint64_t seed)
     weight_grads_.emplace_back(layer_sizes_[l + 1], layer_sizes_[l]);
     bias_grads_.emplace_back(layer_sizes_[l + 1], 0.0f);
   }
-  activations_.resize(num_layers);
+  acts_.resize(num_layers + 1);
+  const size_t max_width =
+      *std::max_element(layer_sizes_.begin(), layer_sizes_.end());
+  lanes_in_.assign(max_width * kLanes, 0.0f);
+  lanes_out_.assign(max_width * kLanes, 0.0f);
+  delta_.assign(max_width, 0.0f);
+  next_delta_.assign(max_width, 0.0f);
 }
 
-const Matrix& Mlp::Forward(const Matrix& input) {
-  LES3_CHECK_EQ(input.cols(), layer_sizes_.front());
-  size_t batch = input.rows();
-  const Matrix* prev = &input;
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    const Matrix& w = weights_[l];
-    const auto& b = biases_[l];
-    Matrix& act = activations_[l];
-    act = Matrix(batch, w.rows());
-    for (size_t i = 0; i < batch; ++i) {
-      const float* x = prev->Row(i);
-      float* out = act.Row(i);
-      for (size_t o = 0; o < w.rows(); ++o) {
-        const float* wr = w.Row(o);
-        float z = b[o];
-        for (size_t k = 0; k < w.cols(); ++k) z += wr[k] * x[k];
-        out[o] = Sigmoid(z);
-      }
-    }
-    prev = &act;
+void Mlp::Forward(const Matrix& source, const uint32_t* rows, size_t n) {
+  LES3_CHECK_EQ(source.cols(), input_dim());
+  const size_t dim = input_dim();
+  for (size_t l = 0; l < acts_.size(); ++l) {
+    acts_[l].resize(n * layer_sizes_[l]);
   }
-  return activations_.back();
+  for (size_t base = 0; base < n; base += kLanes) {
+    const size_t m = std::min(kLanes, n - base);
+    // Gather the block: row-major into acts_[0] for Backward, lane-major
+    // into lanes_in_ with unused tail lanes zeroed.
+    if (m < kLanes) std::fill(lanes_in_.begin(), lanes_in_.end(), 0.0f);
+    for (size_t j = 0; j < m; ++j) {
+      const float* x =
+          source.Row(rows != nullptr ? rows[base + j] : base + j);
+      std::copy(x, x + dim, acts_[0].data() + (base + j) * dim);
+      for (size_t k = 0; k < dim; ++k) lanes_in_[k * kLanes + j] = x[k];
+    }
+    for (size_t l = 0; l < weights_.size(); ++l) {
+      LayerBlock(weights_[l], biases_[l], lanes_in_.data(),
+                 lanes_out_.data());
+      const size_t width = layer_sizes_[l + 1];
+      float* dst = acts_[l + 1].data() + base * width;
+      for (size_t j = 0; j < m; ++j) {
+        for (size_t o = 0; o < width; ++o) {
+          dst[j * width + o] = lanes_out_[o * kLanes + j];
+        }
+      }
+      lanes_in_.swap(lanes_out_);
+    }
+  }
 }
 
 std::vector<float> Mlp::ForwardOne(const float* x) const {
@@ -76,60 +129,68 @@ void Mlp::ZeroGrad() {
   for (auto& g : bias_grads_) std::fill(g.begin(), g.end(), 0.0f);
 }
 
-void Mlp::Backward(const Matrix& input, const Matrix& grad_output) {
-  size_t batch = input.rows();
-  LES3_CHECK_EQ(grad_output.rows(), batch);
-  LES3_CHECK_EQ(grad_output.cols(), layer_sizes_.back());
-  // delta for the current layer, (batch x width_l).
-  Matrix delta = grad_output;
-  for (size_t l = weights_.size(); l-- > 0;) {
-    const Matrix& act = activations_[l];
-    // Through the sigmoid: delta *= a * (1 - a).
-    for (size_t i = 0; i < batch; ++i) {
-      float* d = delta.Row(i);
-      const float* a = act.Row(i);
-      for (size_t o = 0; o < delta.cols(); ++o) {
-        d[o] *= a[o] * (1.0f - a[o]);
-      }
+void Mlp::Backward(const uint32_t* samples, const float* grad_output,
+                   size_t n) {
+  const size_t out_dim = output_dim();
+  for (size_t t = 0; t < n; ++t) {
+    const float* g = grad_output + t * out_dim;
+    if (std::all_of(g, g + out_dim, [](float v) { return v == 0.0f; })) {
+      continue;
     }
-    const Matrix& below = (l == 0) ? input : activations_[l - 1];
-    Matrix& wg = weight_grads_[l];
-    auto& bg = bias_grads_[l];
-    for (size_t i = 0; i < batch; ++i) {
-      const float* d = delta.Row(i);
-      const float* x = below.Row(i);
-      for (size_t o = 0; o < wg.rows(); ++o) {
-        float* wr = wg.Row(o);
-        float dv = d[o];
+    const size_t s = samples != nullptr ? samples[t] : t;
+    float* delta = delta_.data();
+    float* next = next_delta_.data();
+    std::copy(g, g + out_dim, delta);
+    for (size_t l = weights_.size(); l-- > 0;) {
+      const size_t fan_in = layer_sizes_[l];
+      const size_t fan_out = layer_sizes_[l + 1];
+      // Through the sigmoid: delta *= a * (1 - a).
+      const float* a = acts_[l + 1].data() + s * fan_out;
+      for (size_t o = 0; o < fan_out; ++o) delta[o] *= a[o] * (1.0f - a[o]);
+      const float* x = acts_[l].data() + s * fan_in;
+      Matrix& wg = weight_grads_[l];
+      float* bg = bias_grads_[l].data();
+      for (size_t o = 0; o < fan_out; ++o) {
+        const float dv = delta[o];
         if (dv == 0.0f) continue;
-        for (size_t k = 0; k < wg.cols(); ++k) wr[k] += dv * x[k];
+        AddScaled(dv, x, wg.Row(o), fan_in);
         bg[o] += dv;
       }
-    }
-    if (l == 0) break;
-    // Propagate: next_delta = delta . W_l  (batch x in_l).
-    const Matrix& w = weights_[l];
-    Matrix next_delta(batch, w.cols());
-    for (size_t i = 0; i < batch; ++i) {
-      const float* d = delta.Row(i);
-      float* nd = next_delta.Row(i);
-      for (size_t o = 0; o < w.rows(); ++o) {
-        float dv = d[o];
-        if (dv == 0.0f) continue;
-        const float* wr = w.Row(o);
-        for (size_t k = 0; k < w.cols(); ++k) nd[k] += dv * wr[k];
+      if (l == 0) break;
+      // Propagate: next = delta . W_l, each element summed over o in order.
+      const Matrix& w = weights_[l];
+      size_t k = 0;
+      for (; k + kLanes <= fan_in; k += kLanes) {
+        float acc[kLanes] = {};
+        for (size_t o = 0; o < fan_out; ++o) {
+          const float dv = delta[o];
+          if (dv == 0.0f) continue;
+          const float* wr = w.Row(o) + k;
+          for (size_t j = 0; j < kLanes; ++j) acc[j] += dv * wr[j];
+        }
+        std::copy(acc, acc + kLanes, next + k);
       }
+      for (; k < fan_in; ++k) {
+        float acc = 0.0f;
+        for (size_t o = 0; o < fan_out; ++o) {
+          const float dv = delta[o];
+          if (dv == 0.0f) continue;
+          acc += dv * w.At(o, k);
+        }
+        next[k] = acc;
+      }
+      std::swap(delta, next);
     }
-    delta = std::move(next_delta);
   }
 }
 
-std::vector<float*> Mlp::MutableParams() {
-  std::vector<float*> out;
+std::vector<ParamSpan> Mlp::ParamSpans() {
+  std::vector<ParamSpan> out;
   for (size_t l = 0; l < weights_.size(); ++l) {
-    Matrix& w = weights_[l];
-    for (size_t i = 0; i < w.size(); ++i) out.push_back(w.data() + i);
-    for (auto& b : biases_[l]) out.push_back(&b);
+    out.push_back({weights_[l].data(), weight_grads_[l].data(),
+                   weights_[l].size()});
+    out.push_back({biases_[l].data(), bias_grads_[l].data(),
+                   biases_[l].size()});
   }
   return out;
 }
@@ -172,10 +233,6 @@ void Mlp::SetParamsFlat(const std::vector<float>& flat) {
     for (size_t i = 0; i < w.size(); ++i) w.data()[i] = flat[pos++];
     for (auto& b : biases_[l]) b = flat[pos++];
   }
-}
-
-uint64_t Mlp::MemoryBytes() const {
-  return static_cast<uint64_t>(NumParams()) * 2 * sizeof(float);
 }
 
 }  // namespace ml

@@ -47,6 +47,18 @@ struct SiameseStats {
 
 /// \brief Trains `net` in-place on `pairs`, whose endpoints index rows of
 /// `representations`.
+///
+/// Each mini-batch forwards every distinct representation row once, however
+/// many of its pairs name it: with 10k pairs over a ~200-row group, about
+/// 180 forward samples instead of 2 * 256. The backward pass still walks all
+/// 2 * batch gradient rows (the batch's first members in order, then its
+/// second members) through a row-to-sample map, because summing two rows'
+/// contributions before adding them to a weight would round differently.
+/// The resulting weights and batch_losses are bit-identical to a trainer
+/// that stacks and forwards both members of every pair (ml/mlp.h gives the
+/// contract). The dedup table has one entry per representation row, so
+/// callers pass only the rows the pairs draw from (l2p/cascade.cc passes
+/// one group's rows).
 SiameseStats TrainSiamese(Mlp* net, const Matrix& representations,
                           const std::vector<SiamesePair>& pairs,
                           const SiameseOptions& options);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "datagen/generators.h"
 #include "embed/ptr.h"
 #include "l2p/cascade.h"
@@ -146,6 +148,40 @@ TEST(CascadeTest, DeterministicPerSeed) {
   CascadeResult a = TrainCascade(db, ptr, opts);
   CascadeResult b = TrainCascade(db, ptr, opts);
   EXPECT_EQ(a.levels.back().assignment, b.levels.back().assignment);
+}
+
+TEST(CascadeTest, ThreadCountInvariant) {
+  // The sharded build trains each shard's cascade on hw / S threads, so
+  // the partition and every model must not depend on the thread count.
+  SetDatabase db = ClusteredDb(4, 80, 21);
+  embed::PtrRepresentation ptr(db.num_tokens());
+  CascadeOptions opts = FastOptions();
+  opts.keep_models = true;
+  opts.num_threads = 1;
+  CascadeResult one = TrainCascade(db, ptr, opts);
+  opts.num_threads = 4;
+  CascadeResult four = TrainCascade(db, ptr, opts);
+  ASSERT_EQ(one.levels.size(), four.levels.size());
+  for (size_t l = 0; l < one.levels.size(); ++l) {
+    EXPECT_EQ(one.levels[l].num_groups, four.levels[l].num_groups);
+    EXPECT_EQ(one.levels[l].assignment, four.levels[l].assignment);
+  }
+  ASSERT_GT(one.models.size(), 0u);
+  ASSERT_EQ(one.models.size(), four.models.size());
+  for (size_t m = 0; m < one.models.size(); ++m) {
+    const CascadeModelSnapshot& x = one.models[m];
+    const CascadeModelSnapshot& y = four.models[m];
+    EXPECT_EQ(x.level, y.level);
+    EXPECT_EQ(x.group, y.group);
+    EXPECT_EQ(std::memcmp(&x.threshold, &y.threshold, sizeof(float)), 0);
+    EXPECT_EQ(x.routed_by_threshold, y.routed_by_threshold);
+    EXPECT_EQ(x.layer_sizes, y.layer_sizes);
+    ASSERT_EQ(x.params.size(), y.params.size());
+    EXPECT_EQ(std::memcmp(x.params.data(), y.params.data(),
+                          x.params.size() * sizeof(float)),
+              0)
+        << "model " << m;
+  }
 }
 
 }  // namespace
