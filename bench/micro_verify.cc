@@ -1,7 +1,7 @@
 // Micro-benchmarks for the verification kernels (core/verify.h): the
-// branchless linear merge vs the galloping kernel vs the pre-pipeline
-// scalar verifier, across operand-size ratios and token skews, in
-// verified pairs per second.
+// branchless linear merge vs the galloping kernel vs the per-query token
+// bitmap (QueryVerifier) vs the pre-pipeline scalar verifier, across
+// operand-size ratios and token skews, in verified pairs per second.
 //
 // The scalar baseline is the verifier this repo shipped before the
 // cache-resident pipeline: a branchy merge that re-evaluates the
@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,10 @@ struct PairPool {
   size_t next = 0;
 };
 
+constexpr uint32_t kUniverse = 4096;  // token universe of the Zipf pools
+
 PairPool MakePool(size_t base_size, size_t ratio, double skew) {
   constexpr size_t kPairs = 512;
-  constexpr uint32_t kUniverse = 4096;
   Rng rng(base_size * 1315423911u + ratio * 2654435761u +
           static_cast<uint64_t>(skew * 977));
   datagen::ZipfSampler zipf(kUniverse, skew);
@@ -130,10 +132,60 @@ void VerifyBench(benchmark::State& state, int kernel) {
   state.SetItemsProcessed(state.iterations());  // pairs/sec
 }
 
+/// The query-bitmap rows: the small side is the query, bound once per
+/// pass over the pool, and every large side is a candidate verified
+/// against it — the engine's shape, where one bind serves a query's whole
+/// candidate stream (here 512 candidates per bind, bind cost included).
+/// scan_only pins QueryVerifier::Scan, skipping the gallop fallback for
+/// candidates kGallopSizeRatio times larger than the query. The Zipf
+/// pools are multisets, so candidates with repeated tokens take the
+/// duplicate fallback to VerifyThreshold on top of the scan.
+void QueryBitmapBench(benchmark::State& state, const PairPool& pool,
+                      uint32_t universe, bool scan_only) {
+  const size_t num_pairs = pool.small.size();
+  std::optional<QueryVerifier> verifier;
+  size_t next_query = 0;
+  size_t query_size = 0;
+  size_t p = 0;
+  for (auto _ : state) {
+    if (p == 0) {
+      verifier.reset();  // unbind before the next query binds
+      const std::vector<TokenId>& q = pool.small[next_query++ % num_pairs];
+      verifier.emplace(SetView(q.data(), q.size()), universe);
+      query_size = q.size();
+    }
+    SetView b(pool.large[p].data(), pool.large[p].size());
+    const double threshold = pool.thresholds[p];
+    const size_t min_overlap = MinOverlapForPair(
+        SimilarityMeasure::kJaccard, query_size, b.size(), threshold);
+    VerifyResult v =
+        scan_only ? verifier->Scan(SimilarityMeasure::kJaccard, b, threshold,
+                                   min_overlap)
+                  : verifier->Verify(SimilarityMeasure::kJaccard, b,
+                                     threshold, min_overlap);
+    benchmark::DoNotOptimize(v);
+    p = (p + 1) % num_pairs;
+  }
+  state.SetItemsProcessed(state.iterations());  // pairs/sec
+}
+
+void QueryBitmapGridBench(benchmark::State& state, bool scan_only) {
+  PairPool pool = MakePool(static_cast<size_t>(state.range(0)),
+                           static_cast<size_t>(state.range(1)),
+                           state.range(2) / 10.0);
+  QueryBitmapBench(state, pool, kUniverse, scan_only);
+}
+
 void BM_VerifyAdaptive(benchmark::State& state) { VerifyBench(state, 0); }
 void BM_VerifyMerge(benchmark::State& state) { VerifyBench(state, 1); }
 void BM_VerifyGallop(benchmark::State& state) { VerifyBench(state, 2); }
 void BM_VerifyScalar(benchmark::State& state) { VerifyBench(state, 3); }
+void BM_VerifyQueryBitmap(benchmark::State& state) {
+  QueryBitmapGridBench(state, /*scan_only=*/false);
+}
+void BM_VerifyQueryBitmapScan(benchmark::State& state) {
+  QueryBitmapGridBench(state, /*scan_only=*/true);
+}
 
 #define VERIFY_ARGS                                        \
   ->ArgNames({"base", "ratio", "skew_x10"})                \
@@ -151,6 +203,8 @@ BENCHMARK(BM_VerifyAdaptive) VERIFY_ARGS;
 BENCHMARK(BM_VerifyMerge) VERIFY_ARGS;
 BENCHMARK(BM_VerifyGallop) VERIFY_ARGS;
 BENCHMARK(BM_VerifyScalar) VERIFY_ARGS;
+BENCHMARK(BM_VerifyQueryBitmap) VERIFY_ARGS;
+BENCHMARK(BM_VerifyQueryBitmapScan) VERIFY_ARGS;
 
 // ---------------------------------------------------------------------------
 // Per-dispatch-level rows (the BENCH_verify_simd.json payload): the same
@@ -200,6 +254,47 @@ void VerifyMergeAtLevel(benchmark::State& state, simd::Level level,
   state.SetItemsProcessed(state.iterations());  // pairs/sec
 }
 
+/// The gallop cutoff of QueryVerifier on set (distinct-token) operands:
+/// the bitmap scan reads all |S| candidate tokens, the galloping kernel
+/// O(|Q| log |S|), so the rows sweep |S| / |Q| around kGallopSizeRatio,
+/// query = small side. Named BM_VerifyBitmapCutoff/<kernel>/base:<n>/
+/// ratio:<r>, kernel scan (QueryVerifier::Scan) or gallop (VerifyGallop
+/// with the pair's precomputed min overlap).
+void RegisterBitmapCutoffBenchmarks() {
+  for (size_t base : {4, 8, 16}) {
+    for (size_t ratio : {1, 2, 4, 16, 64}) {
+      for (bool scan : {true, false}) {
+        std::string name = std::string("BM_VerifyBitmapCutoff/") +
+                           (scan ? "scan" : "gallop") +
+                           "/base:" + std::to_string(base) +
+                           "/ratio:" + std::to_string(ratio);
+        benchmark::RegisterBenchmark(
+            name.c_str(), [base, ratio, scan](benchmark::State& state) {
+              PairPool pool = MakeDistinctPool(base, ratio);
+              if (scan) {
+                QueryBitmapBench(state, pool,
+                                 static_cast<uint32_t>(base * ratio * 4),
+                                 /*scan_only=*/true);
+                return;
+              }
+              for (auto _ : state) {
+                size_t p = pool.next++ % pool.small.size();
+                SetView a(pool.small[p].data(), pool.small[p].size());
+                SetView b(pool.large[p].data(), pool.large[p].size());
+                const double threshold = pool.thresholds[p];
+                VerifyResult v = VerifyGallop(
+                    SimilarityMeasure::kJaccard, a, b, threshold,
+                    MinOverlapForPair(SimilarityMeasure::kJaccard, a.size(),
+                                      b.size(), threshold));
+                benchmark::DoNotOptimize(v);
+              }
+              state.SetItemsProcessed(state.iterations());  // pairs/sec
+            });
+      }
+    }
+  }
+}
+
 /// Registered at runtime because the level list depends on the machine:
 /// one row per (supported level x operand shape), named
 /// BM_VerifyMergeLevel/<level>/base:<n>/ratio:<r>.
@@ -227,6 +322,7 @@ void RegisterLevelBenchmarks() {
 
 int main(int argc, char** argv) {
   les3::RegisterLevelBenchmarks();
+  les3::RegisterBitmapCutoffBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

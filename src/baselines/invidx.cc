@@ -127,9 +127,14 @@ std::vector<Hit> InvIdx::Range(
   std::vector<SetId> candidates;
   CollectCandidates(canonical, query.size(), delta, &candidates);
   std::vector<Hit> out;
+  // The same query-bitmap kernel as the LES3 engines, so the two differ
+  // only in how they prune.
+  QueryVerifier verifier(query, db_->num_tokens());
   for (SetId c : candidates) {
-    VerifyResult v =
-        VerifyThreshold(options_.measure, query, db_->set(c), delta);
+    SetView set = db_->set(c);
+    VerifyResult v = verifier.Verify(
+        options_.measure, set, delta,
+        MinOverlapForPair(options_.measure, query.size(), set.size(), delta));
     if (v.passed) out.emplace_back(c, v.similarity);
   }
   SortHits(&out);
@@ -150,6 +155,7 @@ std::vector<Hit> InvIdx::Knn(
   CanonicalQuery canonical = Canonicalize(query);
   std::vector<uint8_t> verified(db_->size(), 0);
   TopKHits best(k);
+  QueryVerifier verifier(query, db_->num_tokens());
   uint64_t total_verified = 0;
   double delta = 1.0;
   for (;;) {
@@ -159,7 +165,9 @@ std::vector<Hit> InvIdx::Knn(
       if (verified[c]) continue;
       verified[c] = 1;
       ++total_verified;
-      best.Offer(c, Similarity(options_.measure, query, db_->set(c)));
+      // Threshold 0 always passes: the exact similarity.
+      best.Offer(c, verifier.Verify(options_.measure, db_->set(c), 0.0, 0)
+                        .similarity);
     }
     // Every set with similarity >= delta was in this pass's candidate set,
     // so anything still unseen is strictly below the k-th best — ties

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/verify_simd.h"
+#include "util/logging.h"
 
 namespace les3 {
 
@@ -40,6 +42,19 @@ VerifyResult Abort(SimilarityMeasure m, size_t max_overlap, size_t size_a,
   result.similarity = SimilarityFromOverlap(m, max_overlap, size_a, size_b);
   result.passed = false;
   return result;
+}
+
+/// The per-thread query bitmap behind QueryVerifier: all zero while
+/// unbound, and never shrunk, so a thread pays the allocation once for the
+/// largest universe it has served.
+struct ThreadBitmap {
+  std::vector<uint64_t> words;
+  bool bound = false;
+};
+
+ThreadBitmap& ThreadQueryBitmap() {
+  static thread_local ThreadBitmap bitmap;
+  return bitmap;
 }
 
 }  // namespace
@@ -155,6 +170,73 @@ VerifyResult VerifyThreshold(SimilarityMeasure measure, SetView a, SetView b,
     return VerifyGallop(measure, a, b, threshold, min_overlap);
   }
   return VerifyMerge(measure, a, b, threshold, min_overlap);
+}
+
+QueryVerifier::~QueryVerifier() {
+  if (!bound_) return;
+  ThreadBitmap& bitmap = ThreadQueryBitmap();
+  uint64_t* words = bitmap.words.data();
+  for (TokenId t : query_) {
+    if (t < universe_) words[t >> 6] &= ~(uint64_t{1} << (t & 63));
+  }
+  bitmap.bound = false;
+}
+
+void QueryVerifier::Bind() {
+  ThreadBitmap& bitmap = ThreadQueryBitmap();
+  LES3_CHECK(!bitmap.bound);  // one bound query per thread
+  bitmap.bound = true;
+  bound_ = true;
+  const size_t num_words = (universe_ + 63) / 64;
+  if (bitmap.words.size() < num_words) bitmap.words.resize(num_words, 0);
+  uint64_t* words = bitmap.words.data();
+  for (TokenId t : query_) {
+    if (t < universe_) words[t >> 6] |= uint64_t{1} << (t & 63);
+  }
+  words_ = words;
+}
+
+VerifyResult QueryVerifier::Verify(SimilarityMeasure m, SetView candidate,
+                                   double threshold, size_t min_overlap) {
+  const size_t q = query_.size();
+  if (q > 0 && candidate.size() / q >= kGallopSizeRatio) {
+    return VerifyGallop(m, query_, candidate, threshold, min_overlap);
+  }
+  return Scan(m, candidate, threshold, min_overlap);
+}
+
+VerifyResult QueryVerifier::Scan(SimilarityMeasure m, SetView candidate,
+                                 double threshold, size_t min_overlap) {
+  if (!bound_) Bind();
+  const uint64_t* words = words_;
+  const TokenId* tokens = candidate.data();
+  const size_t n = candidate.size();
+  // A bit test per candidate token counts [t in Q] for every copy of t in
+  // S, which is the multiset overlap (the sum of min(mult_Q(t),
+  // mult_S(t))) exactly when S repeats no token. The adjacency test rides
+  // along (`prev` starts unequal to the first token), and a block that
+  // shows a repeat sends the pair to the merge kernels. A repeat only
+  // makes the count overstate the overlap, so the suffix bound stays a
+  // valid reason to stop early either way.
+  constexpr size_t kCheckEvery = 8;
+  size_t overlap = 0;
+  TokenId prev = n > 0 ? tokens[0] + 1 : 0;
+  bool repeated = false;
+  for (size_t i = 0; i < n; i += kCheckEvery) {
+    const size_t bound = overlap + (n - i);
+    if (bound < min_overlap) return Abort(m, bound, query_.size(), n);
+    const size_t end = std::min(i + kCheckEvery, n);
+    for (size_t j = i; j < end; ++j) {
+      const TokenId t = tokens[j];
+      overlap += (words[t >> 6] >> (t & 63)) & 1;
+      repeated |= t == prev;
+      prev = t;
+    }
+    if (repeated) {
+      return VerifyThreshold(m, query_, candidate, threshold, min_overlap);
+    }
+  }
+  return Finish(m, overlap, query_.size(), n, threshold);
 }
 
 }  // namespace les3

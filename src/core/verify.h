@@ -19,9 +19,20 @@
 // pairwise) and produce bit-identical similarities to
 // Similarity()/SimilarityFromOverlap on the pass path, so tie comparisons
 // downstream are floating-point safe.
+//
+// The search pipelines verify thousands of candidates against one query,
+// so they go through QueryVerifier instead: it marks the query's distinct
+// tokens once in a per-thread bitmap over the token universe and then
+// costs one bit test per candidate token (the ScanCount idea) — no merge.
+// A bit cannot count multiplicities, so a candidate that repeats a token
+// falls back to VerifyThreshold; one at least kGallopSizeRatio times
+// larger than the query falls back to VerifyGallop (which reads
+// O(|Q| log |S|) tokens instead of all |S|).
 
 #ifndef LES3_CORE_VERIFY_H_
 #define LES3_CORE_VERIFY_H_
+
+#include <cstdint>
 
 #include "core/similarity.h"
 
@@ -73,6 +84,57 @@ inline constexpr size_t kGallopSizeRatio = 16;
 /// candidates). When it passes, `similarity` is exact.
 VerifyResult VerifyThreshold(SimilarityMeasure measure, SetView a, SetView b,
                              double threshold);
+
+/// \brief Verifies many candidates against one query through a per-thread
+/// token bitmap.
+///
+/// Binding sets one bit per distinct query token in a thread-local
+/// uint64_t word array of ceil(universe / 64) words, which grows on demand
+/// and never shrinks; query tokens at or above `universe` are skipped,
+/// since no stored set can contain them. The bind happens lazily, at the
+/// first Verify, so a query that verifies nothing pays nothing; the
+/// destructor clears exactly the bits the bind set, so the array is all
+/// zero whenever no verifier is bound. At most one verifier may be bound
+/// per thread at a time (checked).
+///
+/// Verify keeps the VerifyThreshold contract — the same `passed`, and on a
+/// pass the bit-identical similarity — with SimilarityFromOverlap(m, o,
+/// |query|, |candidate|) as the similarity, so the query is the first
+/// operand (containment is asymmetric).
+///
+/// Every candidate token must lie below the bound `universe`: candidates
+/// are stored sets of a database whose num_tokens() was passed in.
+class QueryVerifier {
+ public:
+  QueryVerifier(SetView query, size_t universe)
+      : query_(query), universe_(universe) {}
+  ~QueryVerifier();
+
+  QueryVerifier(const QueryVerifier&) = delete;
+  QueryVerifier& operator=(const QueryVerifier&) = delete;
+
+  /// Checks Sim(query, candidate) >= threshold given the pair's
+  /// MinOverlapForPair value; dispatches to the bitmap scan, or to
+  /// VerifyThreshold / VerifyGallop for the duplicate and skew cases.
+  VerifyResult Verify(SimilarityMeasure m, SetView candidate,
+                      double threshold, size_t min_overlap);
+
+  /// The bitmap scan without the skew fallback (duplicate fallback kept):
+  /// one bit test per candidate token, with the suffix bound o + remaining
+  /// < min_overlap checked every 8 tokens; a candidate that repeats a
+  /// token goes to VerifyThreshold. Exposed for the kernel tests and
+  /// bench/micro_verify.cc; production code calls Verify.
+  VerifyResult Scan(SimilarityMeasure m, SetView candidate, double threshold,
+                    size_t min_overlap);
+
+ private:
+  void Bind();
+
+  SetView query_;
+  size_t universe_;
+  const uint64_t* words_ = nullptr;
+  bool bound_ = false;
+};
 
 }  // namespace les3
 

@@ -48,6 +48,8 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
   std::make_heap(heap.begin(), heap.end());
 
   TopKHits best(k);
+  // Binds the query's token bitmap at the first verified candidate.
+  QueryVerifier verifier(query, db_->num_tokens());
   // Size window implied by the running k-th best; recomputed only when the
   // k-th best moves. Until the heap is full no window applies (any
   // similarity can still enter). The pair-overlap bound is likewise cached
@@ -83,22 +85,25 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
     for (const SetId* member = w.begin; member != w.end; ++member, ++size) {
       SetId s = *member;
       ++stats->candidates_verified;
-      if (!best.full()) {
-        best.Offer(s, Similarity(measure_, query, db_->set(s)));
-        continue;
+      // Until the heap is full every candidate enters with its exact
+      // similarity (threshold 0 always passes). After that, verification
+      // terminates early against the running k-th best; a candidate tying
+      // the k-th similarity still wins on a smaller id, which Offer
+      // resolves under HitOrder.
+      double threshold = 0.0;
+      size_t min_overlap = 0;
+      if (best.full()) {
+        threshold = best.WorstSimilarity();
+        if (*size != cached_size || threshold != cached_threshold) {
+          cached_size = *size;
+          cached_threshold = threshold;
+          cached_min_overlap = MinOverlapForPair(measure_, query.size(),
+                                                 cached_size, threshold);
+        }
+        min_overlap = cached_min_overlap;
       }
-      // Early-terminating verification against the running k-th best; a
-      // candidate tying the k-th similarity still wins on a smaller id,
-      // which Offer resolves under HitOrder.
-      double threshold = best.WorstSimilarity();
-      if (*size != cached_size || threshold != cached_threshold) {
-        cached_size = *size;
-        cached_threshold = threshold;
-        cached_min_overlap =
-            MinOverlapForPair(measure_, query.size(), cached_size, threshold);
-      }
-      VerifyResult v = VerifyThreshold(measure_, query, db_->set(s),
-                                       threshold, cached_min_overlap);
+      VerifyResult v =
+          verifier.Verify(measure_, db_->set(s), threshold, min_overlap);
       if (v.passed) best.Offer(s, v.similarity);
     }
   }
@@ -121,6 +126,9 @@ std::vector<Hit> CandidateVerifier::RangeFromCounts(
   // The δ-implied length filter, shared by every visited group.
   SizeBounds window = SizeBoundsForThreshold(measure_, query.size(), delta);
   std::vector<Hit> out;
+  // Binds the query's token bitmap at the first verified candidate, so a
+  // query the probe and size window leave with no candidate pays nothing.
+  QueryVerifier verifier(query, db_->num_tokens());
   // Members come in ascending size order, so the pair-overlap bound — a
   // function of (|Q|, |S|, δ) only — is recomputed once per size run, not
   // per candidate.
@@ -144,8 +152,8 @@ std::vector<Hit> CandidateVerifier::RangeFromCounts(
         cached_min_overlap =
             MinOverlapForPair(measure_, query.size(), cached_size, delta);
       }
-      VerifyResult v = VerifyThreshold(measure_, query, db_->set(*member),
-                                       delta, cached_min_overlap);
+      VerifyResult v = verifier.Verify(measure_, db_->set(*member), delta,
+                                       cached_min_overlap);
       if (v.passed) out.emplace_back(*member, v.similarity);
     }
   }

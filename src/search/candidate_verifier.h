@@ -18,9 +18,15 @@
 //      k-th best) binary-searches down to the one contiguous run that can
 //      still qualify; everything outside is counted in
 //      QueryStats::candidates_size_skipped.
-//   4. Kernel verification: survivors run through the adaptive
-//      VerifyThreshold kernels (core/verify.h) over SetViews into the
-//      database's CSR token arena — no per-candidate pointer chasing.
+//   4. Kernel verification: survivors run through one QueryVerifier
+//      (core/verify.h) per query, over SetViews into the database's CSR
+//      token arena. Its first verify marks the query's tokens in a
+//      per-thread bitmap sized from the database's num_tokens(); each
+//      candidate then costs one bit test per token instead of a sorted
+//      merge. A candidate that repeats a token falls back to
+//      VerifyThreshold and one kGallopSizeRatio times larger than the
+//      query to VerifyGallop. kNN verifies with threshold 0 until it
+//      holds k hits, then against the running k-th best.
 //
 // Exactness: steps 2–4 only ever discard candidates whose best attainable
 // similarity is STRICTLY below the governing threshold under the identical

@@ -514,6 +514,51 @@ TEST(MutabilityEngineTest, DeleteUpdateStatusContract) {
   }
 }
 
+TEST(MutabilityEngineTest, OpenUniverseInsertsAnswerExactly) {
+  // Inserts past the built universe (60 tokens) followed by queries that
+  // carry those tokens, plus tokens no set holds: the verify bitmap follows
+  // the (shard) database's num_tokens() as it grows, so the grown engine
+  // agrees exactly with brute force over the same database.
+  for (const auto& [backend, shards] :
+       {std::pair<std::string, size_t>{"les3", 0},
+        std::pair<std::string, size_t>{"sharded_les3", 3}}) {
+    auto engine = BuildEngine(backend, shards);
+    ASSERT_NE(engine, nullptr) << backend;
+    std::vector<SetRecord> queries;
+    for (TokenId i = 0; i < 30; ++i) {
+      SetRecord set = Rec({i % 5, 100 + i % 9, 200 + i});
+      if (i % 3 == 0) queries.push_back(set);
+      ASSERT_TRUE(engine->Insert(std::move(set)).ok()) << backend;
+    }
+    queries.push_back(Rec({1, 104, 700}));
+    queries.push_back(Rec({4000, 4001}));
+    queries.push_back(Rec({2, 3, 100, 101, 102, 103}));
+
+    api::EngineOptions reference_options;
+    reference_options.backend = api::Backend::kBruteForce;
+    auto reference = api::EngineBuilder::Build(
+        std::make_shared<SetDatabase>(engine->db()), reference_options);
+    ASSERT_TRUE(reference.ok()) << backend;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (int kind = 0; kind < 2; ++kind) {
+        api::QueryResult expected =
+            kind == 0 ? reference.value()->Knn(queries[q], 8)
+                      : reference.value()->Range(queries[q], 0.3);
+        api::QueryResult actual = kind == 0 ? engine->Knn(queries[q], 8)
+                                            : engine->Range(queries[q], 0.3);
+        ASSERT_EQ(expected.hits.size(), actual.hits.size())
+            << backend << " q=" << q << " kind " << kind;
+        for (size_t i = 0; i < expected.hits.size(); ++i) {
+          EXPECT_EQ(expected.hits[i].first, actual.hits[i].first)
+              << backend << " q=" << q << " rank " << i;
+          EXPECT_EQ(expected.hits[i].second, actual.hits[i].second)
+              << backend << " q=" << q << " rank " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(MutabilityEngineTest, DefaultStableDbAliasesTheLiveDatabase) {
   // Engines on the serialized-mutation contract return a no-copy alias;
   // the caller already must not mutate concurrently.

@@ -122,6 +122,93 @@ TEST(ShardConcurrencyTest, ConcurrentInsertAndQuery) {
   }
 }
 
+// Open-universe inserts racing queries that carry the new tokens: every
+// inserted set holds tokens past the initial universe (80), and the
+// readers' queries hold them too — some before any writer has added them,
+// some beyond every token ever inserted. Each shard's query bitmap is
+// sized from that shard database's num_tokens(), read under the shard
+// reader lock, so a query must never test a bit past the array it bound,
+// nor miss a token a concurrent insert just brought in. Once the writers
+// stop, Knn and Range must agree exactly with brute force.
+TEST(ShardConcurrencyTest, OpenUniverseInsertsDuringQueries) {
+  constexpr uint32_t kInitialSets = 200;
+  constexpr int kWriters = 2;
+  constexpr int kInsertsPerWriter = 40;
+  auto db = MakeDb(56, kInitialSets);
+  auto novel = [](int w, int i) {
+    return SetRecord::FromTokens(
+        {static_cast<TokenId>(3 + i % 4),
+         static_cast<TokenId>(200 + (w * kInsertsPerWriter + i) % 48),
+         static_cast<TokenId>(300 + w * kInsertsPerWriter + i)});
+  };
+  std::vector<SetRecord> queries;
+  for (int i = 0; i < 12; ++i) {
+    queries.push_back(SetRecord::FromTokens(
+        {static_cast<TokenId>(3 + i % 4), static_cast<TokenId>(200 + i * 3),
+         static_cast<TokenId>(300 + i * 7)}));
+  }
+  queries.push_back(SetRecord::FromTokens({4, 201, 5000}));
+  queries.push_back(SetRecord::FromTokens({9000, 9001}));
+
+  auto built = EngineBuilder::Build(db, ShardedOptions(3));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  SearchEngine* engine = built.value().get();
+
+  std::atomic<bool> writers_done{false};
+  std::atomic<int> insert_failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kInsertsPerWriter; ++i) {
+        if (!engine->Insert(novel(w, i)).ok()) ++insert_failures;
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      size_t i = static_cast<size_t>(r);
+      do {
+        const SetRecord& q = queries[i % queries.size()];
+        auto knn = engine->Knn(q, 5);
+        ASSERT_LE(knn.hits.size(), 5u);
+        auto range = engine->Range(q, 0.3);
+        ASSERT_EQ(range.stats.results, range.hits.size());
+        if (i % 4 == 0) {
+          ASSERT_EQ(engine->KnnBatch(queries, 3).size(), queries.size());
+        }
+        ++i;
+      } while (!writers_done.load());
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  writers_done.store(true);
+  for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+  EXPECT_EQ(insert_failures.load(), 0);
+  ASSERT_EQ(engine->db().size(),
+            kInitialSets + static_cast<size_t>(kWriters * kInsertsPerWriter));
+
+  EngineOptions reference_options;
+  reference_options.backend = Backend::kBruteForce;
+  auto reference = EngineBuilder::Build(db, reference_options);
+  ASSERT_TRUE(reference.ok());
+  auto expect_same = [](const QueryResult& expected,
+                        const QueryResult& actual, size_t q) {
+    ASSERT_EQ(expected.hits.size(), actual.hits.size()) << "q=" << q;
+    for (size_t i = 0; i < expected.hits.size(); ++i) {
+      EXPECT_EQ(expected.hits[i].first, actual.hits[i].first)
+          << "q=" << q << " rank " << i;
+      EXPECT_EQ(expected.hits[i].second, actual.hits[i].second)
+          << "q=" << q << " rank " << i;
+    }
+  };
+  for (size_t q = 0; q < queries.size(); ++q) {
+    expect_same(reference.value()->Knn(queries[q], 10),
+                engine->Knn(queries[q], 10), q);
+    expect_same(reference.value()->Range(queries[q], 0.3),
+                engine->Range(queries[q], 0.3), q);
+  }
+}
+
 TEST(ShardConcurrencyTest, ConcurrentBatchQueriesDuringInserts) {
   auto db = MakeDb(52, 180);
   std::vector<SetRecord> queries;

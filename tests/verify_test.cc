@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 
@@ -388,6 +389,224 @@ TEST(VerifyKernelsTest, RandomizedDifferentialAgainstOverlapSize) {
   // than replaying the scalar one.
   uint64_t seed = 29;
   ForEachDispatchLevel([&] { RunRandomizedDifferential(seed++); });
+}
+
+// ---------------------------------------------------------------------------
+// QueryVerifier: the per-query token-bitmap kernel against VerifyThreshold.
+
+/// Verifies `candidate` through `verifier` (both Verify and the raw Scan)
+/// and through VerifyThreshold at the same threshold and min overlap:
+/// `passed` must agree, and every passing similarity must be the same
+/// double bit for bit.
+void ExpectVerifierMatches(QueryVerifier* verifier, SetView query,
+                           SetView candidate, SimilarityMeasure m,
+                           double threshold) {
+  const size_t min_o =
+      MinOverlapForPair(m, query.size(), candidate.size(), threshold);
+  VerifyResult expected =
+      VerifyThreshold(m, query, candidate, threshold, min_o);
+  for (int kernel = 0; kernel < 2; ++kernel) {
+    VerifyResult v =
+        kernel == 0 ? verifier->Verify(m, candidate, threshold, min_o)
+                    : verifier->Scan(m, candidate, threshold, min_o);
+    ASSERT_EQ(v.passed, expected.passed)
+        << ToString(m) << (kernel == 0 ? " Verify" : " Scan")
+        << " |q|=" << query.size() << " |s|=" << candidate.size()
+        << " t=" << threshold;
+    if (v.passed) {
+      ASSERT_EQ(std::memcmp(&v.similarity, &expected.similarity,
+                            sizeof(double)),
+                0)
+          << ToString(m) << " " << v.similarity << " vs "
+          << expected.similarity;
+    } else {
+      // A failed verify reports an upper bound on the true similarity.
+      ASSERT_GE(v.similarity + 1e-12,
+                Similarity(m, query, candidate)) << ToString(m);
+    }
+  }
+}
+
+/// Thresholds that exercise every branch of the kernels for one pair:
+/// 0 (always passes), an unreachable 1.5, a random value, and the exact
+/// similarity at the true overlap and its two neighbours, so the
+/// MinOverlapForPair boundary lands on, just above and just below the
+/// overlap the scan counts.
+std::vector<double> BoundaryThresholds(SimilarityMeasure m, SetView query,
+                                       SetView candidate, Rng* rng) {
+  const size_t overlap = SetView::OverlapSize(query, candidate);
+  std::vector<double> thresholds = {0.0, 1.5, rng->NextDouble()};
+  const size_t max_o = std::min(query.size(), candidate.size());
+  for (size_t o : {overlap, overlap + 1, overlap == 0 ? 0 : overlap - 1}) {
+    if (o > max_o) continue;
+    thresholds.push_back(
+        SimilarityFromOverlap(m, o, query.size(), candidate.size()));
+  }
+  return thresholds;
+}
+
+void RunQueryVerifierDifferential(uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Small universes make duplicates and overlaps common; a third of
+    // the trials use a larger one so words past the first are touched.
+    const uint32_t universe = trial % 3 == 0 ? 200 : 16 + trial % 24;
+    auto make = [&](size_t n, bool allow_duplicates) {
+      std::vector<TokenId> tokens;
+      if (allow_duplicates || n > universe) {
+        for (size_t i = 0; i < n; ++i) {
+          tokens.push_back(static_cast<TokenId>(rng.Uniform(universe)));
+        }
+      } else {
+        for (uint32_t t : rng.SampleWithoutReplacement(
+                 universe, static_cast<uint32_t>(n))) {
+          tokens.push_back(static_cast<TokenId>(t));
+        }
+      }
+      return SetRecord::FromTokens(std::move(tokens));
+    };
+    const size_t q_size = rng.Uniform(10);
+    std::vector<TokenId> q_tokens = make(q_size, trial % 2 == 0).tokens();
+    // Query tokens at and beyond the universe: no stored set holds them.
+    if (trial % 4 == 1) q_tokens.push_back(universe);
+    if (trial % 8 == 3) q_tokens.push_back(universe + 64);
+    if (trial % 16 == 5) q_tokens.push_back(0xFFFFFFFFu);
+    SetRecord query = SetRecord::FromTokens(std::move(q_tokens));
+    QueryVerifier verifier(query, universe);
+    for (int c = 0; c < 12; ++c) {
+      // Sizes on both sides of kGallopSizeRatio relative to the query,
+      // plus candidates smaller than the query and the empty candidate.
+      const size_t qn = std::max<size_t>(query.size(), 1);
+      const size_t sizes[] = {0,
+                              rng.Uniform(qn + 1),
+                              qn,
+                              qn * 2 + rng.Uniform(3),
+                              qn * kGallopSizeRatio - 1,
+                              qn * kGallopSizeRatio,
+                              qn * kGallopSizeRatio + 1};
+      const size_t n = sizes[c % 7];
+      SetRecord candidate = make(n, c % 3 == 0);
+      for (auto m : kAllMeasures) {
+        for (double t : BoundaryThresholds(m, query, candidate, &rng)) {
+          ExpectVerifierMatches(&verifier, query, candidate, m, t);
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryVerifierTest, DifferentialAgainstVerifyThreshold) {
+  // The duplicate and skew fallbacks reach the dispatched merge and
+  // gallop kernels, so the differential runs once per dispatch level.
+  uint64_t seed = 71;
+  ForEachDispatchLevel([&] { RunQueryVerifierDifferential(seed++); });
+}
+
+TEST(QueryVerifierTest, EmptyQueryAndEmptyCandidate) {
+  SetRecord empty;
+  SetRecord some = SetRecord::FromTokens({1, 5, 9});
+  SetRecord dups = SetRecord::FromTokens({1, 1, 5});
+  Rng rng(5);
+  for (auto m : kAllMeasures) {
+    {
+      QueryVerifier verifier(empty, 16);
+      for (const SetRecord* c : {&empty, &some, &dups}) {
+        for (double t : BoundaryThresholds(m, empty, *c, &rng)) {
+          ExpectVerifierMatches(&verifier, empty, *c, m, t);
+        }
+      }
+    }
+    QueryVerifier verifier(some, 16);
+    for (double t : BoundaryThresholds(m, some, empty, &rng)) {
+      ExpectVerifierMatches(&verifier, some, empty, m, t);
+    }
+  }
+  // Empty vs empty is similarity 1 by definition; empty vs non-empty 0.
+  QueryVerifier verifier(empty, 0);
+  EXPECT_EQ(verifier.Verify(SimilarityMeasure::kJaccard, empty, 0.0, 0)
+                .similarity,
+            1.0);
+}
+
+TEST(QueryVerifierTest, DuplicateCandidatesKeepMinMultiplicity) {
+  // Query {3, 7}: a bit test per token would count every copy of 3 in
+  // the candidate; the overlap must stay min(1, 3) + min(1, 1) = 2.
+  SetRecord query = SetRecord::FromTokens({3, 7});
+  SetRecord candidate = SetRecord::FromTokens({3, 3, 3, 7});
+  {
+    QueryVerifier verifier(query, 8);
+    VerifyResult v =
+        verifier.Scan(SimilarityMeasure::kContainment, candidate, 0.0, 0);
+    EXPECT_TRUE(v.passed);
+    EXPECT_EQ(v.similarity, 1.0);  // overlap 2 of |Q| = 2
+    v = verifier.Scan(SimilarityMeasure::kJaccard, candidate, 0.0, 0);
+    EXPECT_EQ(v.similarity, 2.0 / 4.0);
+  }
+  // Query-side duplicates need no fallback: a distinct candidate token
+  // matches at most one copy.
+  SetRecord dup_query = SetRecord::FromTokens({3, 3, 7});
+  QueryVerifier dup_verifier(dup_query, 8);
+  VerifyResult v = dup_verifier.Scan(SimilarityMeasure::kJaccard,
+                                     SetRecord::FromTokens({3, 7}), 0.0, 0);
+  EXPECT_EQ(v.similarity, 2.0 / 3.0);
+  // Both sides repeating 3: min(2, 3) + min(1, 1) = 3.
+  v = dup_verifier.Scan(SimilarityMeasure::kContainment, candidate, 0.0, 0);
+  EXPECT_EQ(v.similarity, 1.0);
+  v = dup_verifier.Scan(SimilarityMeasure::kJaccard, candidate, 0.0, 0);
+  EXPECT_EQ(v.similarity, 3.0 / 4.0);
+}
+
+TEST(QueryVerifierTest, UnbindLeavesNoResidueAcrossUniverseGrowth) {
+  // Query A's bits must be gone once its verifier is destroyed: a later,
+  // disjoint query B sees overlap 0 on A's tokens — also after the
+  // universe grew between the two binds (the word array is resized, not
+  // reallocated clean, so a stale bit would survive the growth).
+  std::vector<TokenId> a_tokens, b_tokens;
+  for (TokenId t = 0; t < 300; t += 3) a_tokens.push_back(t);
+  for (TokenId t = 1; t < 300; t += 3) b_tokens.push_back(t);
+  for (TokenId t = 10000; t < 10040; t += 2) b_tokens.push_back(t);
+  SetRecord a = SetRecord::FromTokens(a_tokens);
+  SetRecord b = SetRecord::FromTokens(b_tokens);
+  constexpr auto kContain = SimilarityMeasure::kContainment;
+  {
+    QueryVerifier verifier(a, 300);
+    EXPECT_EQ(verifier.Verify(kContain, a, 0.0, 0).similarity, 1.0);
+  }
+  for (size_t universe : {size_t{300}, size_t{20000}}) {
+    SCOPED_TRACE("universe " + std::to_string(universe));
+    QueryVerifier verifier(b, universe);
+    // Every candidate below is at most 16x |B|, so the bitmap scans it.
+    EXPECT_EQ(verifier.Verify(kContain, a, 0.0, 0).similarity, 0.0);
+    for (TokenId t = 0; t < 300; t += 3) {
+      SetRecord single = SetRecord::FromTokens({t});
+      EXPECT_EQ(verifier.Verify(kContain, single, 0.0, 0).similarity, 0.0)
+          << "token " << t;
+    }
+    // B's own tokens inside the universe all match.
+    std::vector<TokenId> inside;
+    for (TokenId t : b_tokens) {
+      if (t < universe) inside.push_back(t);
+    }
+    SetRecord b_inside = SetRecord::FromTokens(inside);
+    VerifyResult v = verifier.Verify(kContain, b_inside, 0.0, 0);
+    EXPECT_EQ(v.similarity,
+              static_cast<double>(inside.size()) / b_tokens.size());
+  }
+  // And A's bits did not come back with the grown universe either (Scan:
+  // |A| is over 16x this query, where Verify would gallop).
+  SetRecord c = SetRecord::FromTokens({20001});
+  QueryVerifier verifier(c, 20002);
+  EXPECT_EQ(verifier.Scan(kContain, a, 0.0, 0).similarity, 0.0);
+}
+
+TEST(QueryVerifierTest, UnusedVerifierNeverBinds) {
+  // Binding is lazy: a verifier that verifies nothing leaves the thread's
+  // bitmap free for the next one.
+  SetRecord q = SetRecord::FromTokens({1, 2});
+  QueryVerifier idle(q, 4);
+  QueryVerifier active(q, 4);
+  EXPECT_EQ(active.Verify(SimilarityMeasure::kJaccard, q, 0.0, 0).similarity,
+            1.0);
 }
 
 TEST(TextIoTest, ParseSetLine) {
